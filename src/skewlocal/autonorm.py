@@ -12,7 +12,7 @@ unity, i = +infinity with x = y = 0 when some iterate is the identity to
 working precision), and x is well defined up to (i - 1)-th powers.
 """
 
-from math import inf
+from math import comb, inf
 
 from .errors import (
     FieldMismatch,
@@ -133,10 +133,32 @@ def _order_bound(field):
     return field.default_order_bound()
 
 
+def _elementary_inverse(field, k, b, prec):
+    """Compositional inverse of t + b t^k to precision ``prec``, k >= 2.
+
+    By Lagrange inversion its coefficient at t^(1 + m(k - 1)) is
+    (-b)^m C(km, m) / ((k - 1)m + 1), a Fuss-Catalan number times (-b)^m.
+    This is the series ``comp_invert`` returns, without a reversion.
+    """
+    one = field.one()
+    negb = field.neg(b)
+    coeffs = {1: one}
+    pw = one
+    for m in range(1, (prec - 2) // (k - 1) + 1):
+        pw = field.mul(pw, negb)
+        fc = comb(k * m, m) // ((k - 1) * m + 1)
+        coeffs[1 + m * (k - 1)] = field.mul(field.from_int(fc), pw)
+    return LaurentSeries(field, coeffs, prec)
+
+
 def _conj_step(field, cur, k, b, prec):
-    """Conjugate by t + b t^k and return the new image series."""
+    """Conjugate ``cur`` (at precision ``prec``) by f = t + b t^k.
+
+    Returns (f^-1 o cur o f, f).
+    """
     f = DiskAutomorphism(LaurentSeries(field, {1: field.one(), k: b}, prec))
-    return conjugate(cur, f)
+    finv = _elementary_inverse(field, k, b, prec)
+    return DiskAutomorphism(finv.compose(cur.image.compose(f.image))), f
 
 
 def normalize(auto, prec=None):
@@ -144,7 +166,9 @@ def normalize(auto, prec=None):
 
     Pass one conjugates away every coefficient at exponents k with
     k - 1 not divisible by the order n of the linear part; pass two kills
-    the remaining exponents above i_alpha except 2 i_alpha - 1.  Each
+    the remaining exponents above i_alpha except 2 i_alpha - 1.  Every
+    step conjugates by some t + b t^k with b solved from a closed-form
+    slope: zeta - zeta^k in pass one, (i_alpha - k) x in pass two.  Each
     elementary conjugation is verified exactly.
     """
     field = auto.field
@@ -172,8 +196,7 @@ def normalize(auto, prec=None):
             return
         slope = field.sub(zeta, field.pow(zeta, k))
         b = field.neg(field.div(a_k, slope))
-        f = DiskAutomorphism(LaurentSeries(field, {1: one, k: b}, prec))
-        cur = conjugate(cur, f)
+        cur, f = _conj_step(field, cur, k, b, prec)
         total = auto_compose(total, f)
         if not field.is_zero(cur.image.coeffs.get(k, zero)):
             raise NotSolvable("elementary conjugation failed to clear t^%d" % k)
@@ -209,10 +232,13 @@ def normalize(auto, prec=None):
         )
     x = cur.image.coeffs[i_alpha]
 
-    # pass two: surviving exponents are i_alpha and 2 i_alpha - 1; the
-    # dependence of the target coefficient on the conjugation parameter is
-    # affine, so one probe determines the slope (solved by secant, then
-    # verified exactly)
+    # pass two: clear t^m for m > i_alpha with n | m - 1, except
+    # m = 2 i_alpha - 1, by conjugating with f = t + b t^k, k = m - i_alpha + 1.
+    # Since n | k - 1, zeta^(k-1) = 1 and zeta t commutes with f exactly.
+    # The x t^i_alpha term moves t^m by b (i_alpha x - k zeta^(k-1) x), every
+    # higher term lands above t^m, and every b^2 term at exponent
+    # >= i_alpha + 2(k - 1) > m.  So t^m moves by exactly b (i_alpha - k) x,
+    # with a nonzero slope because k != i_alpha.
     for m in range(i_alpha + 1, prec):
         if (m - 1) % n != 0 or m == 2 * i_alpha - 1:
             continue
@@ -220,17 +246,9 @@ def normalize(auto, prec=None):
         if a_m is None:
             continue
         k = m - i_alpha + 1
-        probe = _conj_step(field, cur, k, one, prec)
-        a_probe = probe.image.coeffs.get(m, zero)
-        slope = field.sub(a_probe, a_m)
-        if field.is_zero(slope):
-            raise NotSolvable(
-                "coefficient at t^%d does not react to conjugation at t^%d"
-                % (m, k)
-            )
+        slope = field.mul(field.from_int(i_alpha - k), x)
         b = field.neg(field.div(a_m, slope))
-        f = DiskAutomorphism(LaurentSeries(field, {1: one, k: b}, prec))
-        cur = conjugate(cur, f)
+        cur, f = _conj_step(field, cur, k, b, prec)
         total = auto_compose(total, f)
         if not field.is_zero(cur.image.coeffs.get(m, zero)):
             raise NotSolvable("affine solve failed to clear t^%d" % m)

@@ -34,17 +34,26 @@ PREC_ENV = "SKEWLOCAL_PREC"
 INF = float("inf")
 
 
-def _resolve_default_prec(flag_value):
+def _at_least(value, name, least=0):
+    """``value`` itself, or an error when it is set and below ``least``."""
+    if value is not None and value < least:
+        raise SkewFieldError("%s must be at least %d, got %d" % (name, least, value))
+    return value
+
+
+def _resolve_default_prec(flag_value, flag, least=0):
     """Precision to use and where it came from: flag beats the environment
-    variable beats the built-in default."""
+    variable beats the built-in default.  Values below ``least`` are
+    rejected."""
     if flag_value is not None:
-        return flag_value, "command line"
+        return _at_least(flag_value, flag, least), "command line"
     env = os.environ.get(PREC_ENV)
     if env is not None:
         try:
-            return int(env), PREC_ENV
+            value = int(env)
         except ValueError:
             raise SkewFieldError("%s must be an integer, got %r" % (PREC_ENV, env))
+        return _at_least(value, PREC_ENV, least), PREC_ENV
     return DEFAULT_PRECISION, "default"
 
 
@@ -85,6 +94,8 @@ class _Report:
 
 
 def _read_rule(path, prec_t1, prec_t2):
+    _at_least(prec_t1, "--prec-t1")
+    _at_least(prec_t2, "--prec-t2")
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -108,7 +119,7 @@ def _invariant_entries(report, field, s):
 
 def _cmd_autonorm(args, report):
     field = Field.from_text(args.field)
-    prec, source = _resolve_default_prec(args.prec)
+    prec, source = _resolve_default_prec(args.prec, "--prec", least=2)
     auto = DiskAutomorphism(parse_series(args.series, field, var="t", prec=prec))
     nf = normalize(auto, prec)
     report.entry("zeta", _fmt(field, nf.zeta))
@@ -189,7 +200,7 @@ def _cmd_skew_construct(args, report):
 
 def _cmd_psido(args, report):
     field = Field.from_text(args.field)
-    depth, source = _resolve_default_prec(args.depth)
+    depth, source = _resolve_default_prec(args.depth, "--depth")
     value = parse_psido(args.expr, field, depth)
     report.entry("value", value.format())
     report.entry("order", _fmt(field, -value.top if value.coeffs else INF))

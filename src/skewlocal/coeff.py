@@ -40,6 +40,21 @@ def _is_prime(p):
     return True
 
 
+def _prime_factors(m):
+    """Distinct prime factors of m >= 1, by trial division."""
+    out = []
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            out.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
 def _poly_trim(a):
     while a and a[-1] == 0:
         a.pop()
@@ -91,17 +106,15 @@ def _iroot(n, d):
         return 0
     if d == 1:
         return n
-    x = int(round(n ** (1.0 / d))) or 1
-    for _ in range(200):
-        xd = x ** (d - 1)
-        nx = ((d - 1) * x + n // xd) // d
+    # 2^(bits // d + 1) exceeds the root, and integer Newton steps from
+    # above decrease strictly until they reach floor(n^(1/d))
+    x = 1 << (n.bit_length() // d + 1)
+    while True:
+        nx = ((d - 1) * x + n // x ** (d - 1)) // d
         if nx >= x:
             break
         x = nx
-    for c in (x - 1, x, x + 1, x + 2):
-        if c >= 0 and c ** d == n:
-            return c
-    return None
+    return x if x ** d == n else None
 
 
 class Field:
@@ -390,9 +403,13 @@ class Field:
         p = self.param
         if (p - 1) % order != 0:
             raise UnsupportedField("F%d has no root of unity of order %d" % (p, order))
+        # g = a^((p-1)/order) satisfies g^order = 1; it has exact order
+        # ``order`` when no g^(order/q) with q a prime factor of order is 1
+        primes = _prime_factors(order)
         for a in range(2, p):
-            if self.root_of_unity_order(a, p - 1) == order:
-                return a
+            g = pow(a, (p - 1) // order, p)
+            if all(pow(g, order // q, p) != 1 for q in primes):
+                return g
         raise UnsupportedField("no element of order %d found in F%d" % (order, p))
 
     def is_dth_power(self, a, d):

@@ -83,7 +83,7 @@ class Descriptor:
         )
 
     def __repr__(self):
-        base = self.field.name
+        base = self.field.name()
         return "<descriptor %s>" % ("%s((u))" % base if self.series else base)
 
 

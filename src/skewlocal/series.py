@@ -68,9 +68,6 @@ class LaurentSeries:
         coeffs = {e: field.from_fraction(Fraction(v)) for e, v in mapping.items()}
         return LaurentSeries(field, coeffs, prec)
 
-    def copy(self, prec="keep"):
-        return LaurentSeries(self.field, self.coeffs, self.prec if prec == "keep" else prec)
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self):
@@ -97,9 +94,6 @@ class LaurentSeries:
                 required=e + 1,
             )
         return self.coeffs.get(e, self.field.zero())
-
-    def known(self, e):
-        return self.prec is None or e < self.prec
 
     def leading(self):
         v = self.valuation()
@@ -229,17 +223,23 @@ class LaurentSeries:
         self._check(other)
         return self * other.mul_invert()
 
-    def _int_power(self, e, cache):
-        """self^e for e >= 0, memoized in ``cache``."""
+    def _int_power(self, e, cache, bound=None):
+        """self^e for e >= 0, truncated at ``bound`` and memoized in ``cache``.
+
+        Truncation commutes with products of series of valuation >= 0, so
+        for such a series the powers agree with the untruncated ones below
+        ``bound``.
+        """
         if e in cache:
             return cache[e]
         if e == 0:
             out = LaurentSeries.const(self.field, self.field.one())
         elif e % 2 == 0:
-            h = self._int_power(e // 2, cache)
+            h = self._int_power(e // 2, cache, bound)
             out = h * h
         else:
-            out = self._int_power(e - 1, cache) * self
+            out = self._int_power(e - 1, cache, bound) * self
+        out = out.truncate(bound)
         cache[e] = out
         return out
 
@@ -270,13 +270,19 @@ class LaurentSeries:
             return LaurentSeries(f, out, min(bounds) if bounds else None)
         vs = s.val_floor()
         cap = _p(self.prec) * vs
+        # s^e carries precision s.prec + (e - 1) vs, so the least positive
+        # exponent bounds what the final truncation keeps; no power needs
+        # coefficients beyond that
+        e_min = min((e for e in self.coeffs if e > 0), default=None)
+        bound = cap if e_min is None else min(cap, _p(s.prec) + (e_min - 1) * vs)
+        bound = _unp(bound)
         pos_cache = {}
         neg_cache = {}
         sinv = None
         acc = LaurentSeries.zero(f)
         for e in sorted(self.coeffs):
             if e >= 0:
-                pw = s._int_power(e, pos_cache)
+                pw = s._int_power(e, pos_cache, bound)
             else:
                 if sinv is None:
                     sinv = s.mul_invert()

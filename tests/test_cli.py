@@ -1,9 +1,12 @@
 import io
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import skewlocal
 from skewlocal.cli import main
 from skewlocal.parsing import parse_rule_text
 
@@ -173,3 +176,50 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "x*y - z\nw = 0\n"
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"', text, re.M).group(1)
+    assert skewlocal.__version__ == declared
+
+
+RULE = "field: Q\nprec: t1=exact t2=exact\nC = t1 + t2\n"
+
+
+def assert_rejected(result, name):
+    status, out, err = result
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: ") and name in err
+
+
+def test_negative_depth_is_rejected(capsys):
+    assert_rejected(run(capsys, "psido", "--expr", "D*X", "--depth", "-3"), "--depth")
+
+
+def test_autonorm_prec_below_two_is_rejected(capsys):
+    for prec in ("-3", "1"):
+        result = run(capsys, "autonorm", "--series", "t + t^2", "--prec", prec)
+        assert_rejected(result, "--prec")
+    status, out, err = run(capsys, "autonorm", "--series", "t + t^2", "--prec", "2")
+    assert status == 0
+
+
+def test_negative_rule_precisions_are_rejected(capsys, tmp_path):
+    rule = tmp_path / "rule.txt"
+    rule.write_text(RULE)
+    for flag in ("--prec-t1", "--prec-t2"):
+        for cmd in ("skew-invariants", "skew-canonicalize"):
+            assert_rejected(run(capsys, cmd, "--rule", str(rule), flag, "-1"), flag)
+        result = run(
+            capsys, "skew-isomorphic", "--rule", str(rule), "--other", str(rule),
+            flag, "-1",
+        )
+        assert_rejected(result, flag)
+
+
+def test_negative_env_prec_is_rejected(capsys, monkeypatch):
+    monkeypatch.setenv("SKEWLOCAL_PREC", "-1")
+    assert_rejected(run(capsys, "psido", "--expr", "X"), "SKEWLOCAL_PREC")
+    assert_rejected(run(capsys, "autonorm", "--series", "t + t^2"), "SKEWLOCAL_PREC")

@@ -125,6 +125,28 @@ def test_is_dth_power_rational():
     assert ok and w == 7
 
 
+def test_is_dth_power_rational_huge():
+    # beyond float range: the integer root must not go through a float
+    assert Q.is_dth_power(Fraction(10**400 + 1), 3) == (False, None)
+    root = 10**130 + 7
+    assert Q.is_dth_power(Fraction(root**3), 3) == (True, root)
+    assert Q.is_dth_power(Fraction(1, root**4), 4) == (True, Fraction(1, root))
+
+
+def test_primitive_root_of_unity_prime_fields():
+    # the search is fast for large p, and exact for every order over small p
+    F = Field.prime_field(1000003)
+    assert F.primitive_root_of_unity(2) == 1000002
+    w = F.primitive_root_of_unity(3)
+    assert w != 1 and pow(w, 3, 1000003) == 1
+    for p in (2, 3, 5, 7, 11, 13, 31):
+        F = Field.prime_field(p)
+        for order in range(1, p):
+            if (p - 1) % order == 0:
+                w = F.primitive_root_of_unity(order)
+                assert F.root_of_unity_order(w) == order
+
+
 def test_is_dth_power_prime():
     F7 = Field.prime_field(7)
     # squares mod 7 are {1, 2, 4}

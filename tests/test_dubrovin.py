@@ -118,6 +118,13 @@ def test_descriptor_mismatch():
         heis_mul(HeisenbergElement.x(D), HeisenbergElement.x(other))
 
 
+def test_descriptor_repr():
+    assert repr(D) == "<descriptor Q>"
+    assert repr(Descriptor(Field.cyclotomic(3), series=True)) == (
+        "<descriptor Q(zeta_3)((u))>"
+    )
+
+
 def test_monomial_validation():
     with pytest.raises(ValueError):
         HeisenbergElement(D, {-1: {(0, 0): Q.one()}})
