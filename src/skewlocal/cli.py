@@ -15,7 +15,7 @@ import sys
 from .autonorm import DiskAutomorphism, normalize
 from .coeff import Field
 from .dubrovin import Descriptor, valuation_w
-from .errors import SkewFieldError
+from .errors import ParseError, SkewFieldError
 from .parsing import (
     parse_heis,
     parse_psido,
@@ -166,20 +166,27 @@ def _cmd_skew_isomorphic(args, report):
     return 0
 
 
+def _set_int(text, name):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("--set entry %s must be an integer, got %r" % (name, text))
+
+
 def _parse_set(text, field):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) not in (3, 6):
         raise SkewFieldError(
             "--set needs n,xi,i,r,c,a (or n,xi,inf for infinite i), got %r" % text
         )
-    n = int(parts[0])
+    n = _set_int(parts[0], "n")
     xi = parse_scalar(parts[1], field)
     if parts[2] in ("inf", "infinity"):
         return n, xi, INF, None, None, None
-    i = int(parts[2])
+    i = _set_int(parts[2], "i")
     if len(parts) == 3:
         raise SkewFieldError("finite i needs the full set n,xi,i,r,c,a")
-    r = int(parts[3])
+    r = _set_int(parts[3], "r")
     c = parse_scalar(parts[4], field)
     a = parse_scalar(parts[5], field)
     return n, xi, i, r, c, a

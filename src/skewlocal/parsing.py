@@ -16,6 +16,11 @@ from .skew import CommutationRule, build_from_rule
 
 _OPS = set("+-*/^(),=")
 
+# Parentheses and unary minus nest at most this deep.  Each level costs a few
+# interpreter frames in the parser and in _eval, so the limit keeps both well
+# under the recursion limit.
+MAX_NESTING = 100
+
 
 def tokenize(text):
     toks = []
@@ -62,6 +67,7 @@ class _Parser:
         self.text = text
         self.toks = tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -75,6 +81,14 @@ class _Parser:
         kind, text, pos = self.next()
         if kind != "op" or text != op:
             raise ParseError("expected %r at position %d" % (op, pos))
+
+    def enter(self, pos):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                "expression nested deeper than %d levels at position %d"
+                % (MAX_NESTING, pos)
+            )
 
     def at_op(self, op):
         kind, text, _ = self.peek()
@@ -106,7 +120,10 @@ class _Parser:
     def factor(self):
         if self.at_op("-"):
             pos = self.next()[2]
-            return ("neg", self.factor(), pos)
+            self.enter(pos)
+            node = ("neg", self.factor(), pos)
+            self.depth -= 1
+            return node
         node = self.primary()
         if self.at_op("^"):
             self.next()
@@ -127,13 +144,17 @@ class _Parser:
         if kind == "name":
             if text == "O":
                 self.expect_op("(")
+                self.enter(pos)
                 inner = self.expr()
                 self.expect_op(")")
+                self.depth -= 1
                 return ("O", inner, pos)
             return ("name", text, pos)
         if kind == "op" and text == "(":
+            self.enter(pos)
             node = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return node
         raise ParseError("unexpected %r at position %d" % (text or "end of input", pos))
 
@@ -150,16 +171,24 @@ def _eval(ast, dom):
         return dom.power(_eval(ast[1], dom), ast[2], ast[3])
     if tag == "O":
         return dom.o_marker(ast[1], ast[2])
-    _, op, l, r = ast
-    a = _eval(l, dom)
-    b = _eval(r, dom)
-    if op == "+":
-        return dom.add(a, b)
-    if op == "-":
-        return dom.add(a, dom.neg(b))
-    if op == "*":
-        return dom.mul(a, b)
-    return dom.div(a, b)
+    # a chain a + b + c + ... nests to the left without bound, so walk its
+    # left spine in a loop; only the right operands recurse
+    spine = []
+    while ast[0] == "bin":
+        spine.append(ast)
+        ast = ast[2]
+    a = _eval(ast, dom)
+    for _, op, _, r in reversed(spine):
+        b = _eval(r, dom)
+        if op == "+":
+            a = dom.add(a, b)
+        elif op == "-":
+            a = dom.add(a, dom.neg(b))
+        elif op == "*":
+            a = dom.mul(a, b)
+        else:
+            a = dom.div(a, b)
+    return a
 
 
 def _o_shape(ast):

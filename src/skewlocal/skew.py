@@ -377,8 +377,9 @@ class CommutationRule:
         terms = {0: d0}
         t1el = self.t1()
         for s in range(1, cap):
+            # step s reads the residual only at grades <= s
             cand = SkewSeries(self, terms, s + 1)
-            resid = self._apply_phi(cand, cap) - t1el
+            resid = self._apply_phi(cand, s + 1) - t1el
             if resid.val_floor() < s:
                 raise NotSolvable(
                     "inverse rule solve left residue at grade %s" % resid.valuation()
@@ -617,6 +618,11 @@ def change_t2(rule, w_el, cap=None):
     The new coefficients solve X = sum c'_j N_j t2^j where X = W C W^-1 and
     N_j = W Phi(W) ... Phi^(j-1)(W); the system is triangular because the
     grade-zero part of N_j is the unit tau_j.
+
+    The solve below grade cap reads N_j only below grade cap - j.  Twists
+    have grade valuation >= 0, so those grades of N_j = N_(j-1) Phi^(j-1)(W)
+    depend only on the factors below cap - j, and Phi^(j-1)(W) is needed
+    only to that grade as well; each is built to exactly that window.
     """
     if cap is None:
         cap = min(_pg(rule.t2_prec), _pg(w_el.gprec), DEFAULT_PRECISION)
@@ -626,12 +632,13 @@ def change_t2(rule, w_el, cap=None):
         raise ZeroDivisorCandidate("t2 change needs an invertible grade-zero part")
     c_el = SkewSeries(rule, rule.coeffs, rule.t2_prec).truncate(cap)
     x = skew_mul(skew_mul(w, c_el, cap), skew_invert(w, cap), cap)
-    # N_j, built iteratively
+    # N_j to grade cap - j; phiw is Phi^(j-1)(W) to at least that grade
     ns = [rule.one()]
     phiw = w
     for j in range(1, cap):
-        ns.append(skew_mul(ns[-1], phiw, cap))
-        phiw = rule._apply_phi(phiw, cap)
+        ns.append(skew_mul(ns[-1], phiw, cap - j))
+        if j + 1 < cap:
+            phiw = rule._apply_phi(phiw, cap - j - 1)
     out = {}
     for g in range(0, cap):
         acc = x.coeff(g)
@@ -653,15 +660,10 @@ def change_t2(rule, w_el, cap=None):
 # -- support reduction and invariants -------------------------------------------
 
 
-def _order_bound(field):
-    if field.kind == "cyclotomic":
-        n = field.param
-        return n if n % 2 == 0 else 2 * n
-    return field.default_order_bound()
-
-
 def _detect_order(rule):
-    n = rule.field.root_of_unity_order(rule.zeta, bound=_order_bound(rule.field))
+    n = rule.field.root_of_unity_order(
+        rule.zeta, bound=autonorm._order_bound(rule.field)
+    )
     if n is None:
         raise NotSolvable(
             "the linear coefficient of c_0 is not a root of unity; the residue "
@@ -670,20 +672,10 @@ def _detect_order(rule):
     return n
 
 
-def _component_split(s, n, residue):
-    """Split a series into the part with exponents == residue mod n and the rest."""
-    f = s.field
-    good = {}
-    junk = {}
-    for e, c in s.coeffs.items():
-        if (e - residue) % n == 0:
-            good[e] = c
-        else:
-            junk[e] = c
-    return (
-        LaurentSeries(f, good, s.prec),
-        LaurentSeries(f, junk, s.prec),
-    )
+def _non_equivariant(s, n):
+    """The part of a series with exponents not == 1 mod n."""
+    junk = {e: c for e, c in s.coeffs.items() if (e - 1) % n != 0}
+    return LaurentSeries(s.field, junk, s.prec)
 
 
 def reduce_support(rule, cap=None):
@@ -705,7 +697,6 @@ def reduce_support(rule, cap=None):
     # a rule with exact coefficients stays exact as long as no change is
     # applied; that is what lets an infinite i be recognized later
     cur = rule if rule.t2_prec is None else rule.truncate(cap)
-    one = field.one()
 
     # linearize alpha
     if cur.coeffs[0].coeffs != {1: xi}:
@@ -725,59 +716,63 @@ def reduce_support(rule, cap=None):
     top = max(cur.coeffs)
     loop_bound = cap if cur.t2_prec is not None else max(cap, top + 1)
     for j in range(1, loop_bound):
-        delta = cur.coeffs.get(j)
-        if delta is None:
+        if j not in cur.coeffs:
             continue
         if i_locked is not None and j >= 2 * i_locked and j % n == 0:
+            # allowed support: multiples of n at or above 2i stay
             continue
-        if j % n != 0:
-            # first kind: t2' = (1 + g t2^j) t2, solving
-            # g * (alpha^(j+1) - alpha)(t1) = -delta
-            slope = field.sub(field.pow(xi, j + 1), xi)
-            g = delta.scale(field.neg(field.inv(slope))).shift(-1)
-            w = cur.element({0: LaurentSeries.const(field, one), j: g})
-            nxt = change_t2(cur, w, cap)
-            _check_kill(cur, nxt, j)
-            records.append(ParameterChange("t2_unit", {"grade": j, "g": g}))
-            cur = nxt
-            continue
-        # n | j: clean non-equivariant exponents with t1' = t1 + b t2^j
-        good, junk = _component_split(delta, n, 1)
-        if not junk.is_zero():
-            b = _diagonal_solve(field, junk, xi, n)
-            y = cur.element({0: cur.t1_series(), j: b})
-            nxt = change_t1(cur, y, cap)
-            _check_kill(cur, nxt, j, allow_nonzero=True)
-            records.append(ParameterChange("t1_shift", {"grade": j, "b": b}))
-            cur = nxt
-            delta = cur.coeffs.get(j)
-            if delta is not None:
-                leftover = _component_split(delta, n, 1)[1]
-                if not leftover.is_zero():
-                    raise NotSolvable(
-                        "diagonal cleanup left non-equivariant terms at grade %d" % j
-                    )
-        if delta is None or delta.is_zero():
-            continue
-        if i_locked is None:
+        cur = _clear_grade(cur, j, i_locked, n, cap, records)
+        if i_locked is None and j in cur.coeffs:
             i_locked = j
-            continue
-        if j < 2 * i_locked:
-            # interaction move: t2' = (1 + g t2^s) t2 with s = j - i shifts
-            # grade j by (s - i) g delta_i when n | s and alpha is linear
-            s = j - i_locked
-            di = cur.coeffs[i_locked]
-            h = delta / di
-            g = h.scale(field.inv(field.from_int(i_locked - s)))
-            w = cur.element({0: LaurentSeries.const(field, one), s: g})
-            nxt = change_t2(cur, w, cap)
-            _check_kill(cur, nxt, j)
-            records.append(ParameterChange("t2_unit", {"grade": s, "g": g}))
-            cur = nxt
-            continue
-        # j > 2i with n | j but the grade survived the cleanup: allowed support
-        # only covers multiples of n at or above 2i, so nothing to do
     return cur, records
+
+
+def _clear_grade(cur, j, i, n, cap, records):
+    """Clear grade j of the rule cur with one parameter change.
+
+    n does not divide j: first kind, t2' = (1 + g t2^j) t2.  Otherwise the
+    non-equivariant exponents go first with t1' = t1 + b t2^j; what is left
+    is then moved by the interaction with the locked grade i, or stays in
+    place when i is None.  Appends the records and returns the new rule.
+    """
+    field = cur.field
+    xi = cur.zeta
+    one = field.one()
+    delta = cur.coeffs[j]
+    if j % n != 0:
+        # solving g * (alpha^(j+1) - alpha)(t1) = -delta
+        slope = field.sub(field.pow(xi, j + 1), xi)
+        g = delta.scale(field.neg(field.inv(slope))).shift(-1)
+        w = cur.element({0: LaurentSeries.const(field, one), j: g})
+        nxt = change_t2(cur, w, cap)
+        _check_kill(cur, nxt, j)
+        records.append(ParameterChange("t2_unit", {"grade": j, "g": g}))
+        return nxt
+    junk = _non_equivariant(delta, n)
+    if not junk.is_zero():
+        b = _diagonal_solve(field, junk, xi, n)
+        y = cur.element({0: cur.t1_series(), j: b})
+        nxt = change_t1(cur, y, cap)
+        _check_kill(cur, nxt, j, allow_nonzero=True)
+        records.append(ParameterChange("t1_shift", {"grade": j, "b": b}))
+        cur = nxt
+        delta = cur.coeffs.get(j)
+        if delta is not None and not _non_equivariant(delta, n).is_zero():
+            raise NotSolvable(
+                "diagonal cleanup left non-equivariant terms at grade %d" % j
+            )
+    if delta is None or i is None:
+        return cur
+    # interaction move: t2' = (1 + g t2^s) t2 with s = j - i shifts
+    # grade j by (s - i) g delta_i when n | s and alpha is linear
+    s = j - i
+    h = delta / cur.coeffs[i]
+    g = h.scale(field.inv(field.from_int(i - s)))
+    w = cur.element({0: LaurentSeries.const(field, one), s: g})
+    nxt = change_t2(cur, w, cap)
+    _check_kill(cur, nxt, j)
+    records.append(ParameterChange("t2_unit", {"grade": s, "g": g}))
+    return nxt
 
 
 def _diagonal_solve(field, junk, xi, n):
@@ -1033,38 +1028,8 @@ def canonicalize(rule, cap=None):
 
     # tail: grades above 2i
     for j in range(2 * i + 1, cap):
-        delta = cur.coeffs.get(j)
-        if delta is None:
-            continue
-        if j % n != 0:
-            slope = field.sub(field.pow(xi, j + 1), xi)
-            g = delta.scale(field.neg(field.inv(slope))).shift(-1)
-            w = cur.element({0: LaurentSeries.const(field, one), j: g})
-            nxt = change_t2(cur, w, cap)
-            _check_kill(cur, nxt, j)
-            records.append(ParameterChange("t2_unit", {"grade": j, "g": g}))
-            cur = nxt
-            continue
-        good, junk = _component_split(delta, n, 1)
-        if not junk.is_zero():
-            b = _diagonal_solve(field, junk, xi, n)
-            y = cur.element({0: cur.t1_series(), j: b})
-            nxt = change_t1(cur, y, cap)
-            _check_kill(cur, nxt, j, allow_nonzero=True)
-            records.append(ParameterChange("t1_shift", {"grade": j, "b": b}))
-            cur = nxt
-            delta = cur.coeffs.get(j)
-        if delta is None or delta.is_zero():
-            continue
-        s = j - i
-        di = cur.coeffs[i]
-        h = delta / di
-        g = h.scale(field.inv(field.from_int(i - s)))
-        w = cur.element({0: LaurentSeries.const(field, one), s: g})
-        nxt = change_t2(cur, w, cap)
-        _check_kill(cur, nxt, j)
-        records.append(ParameterChange("t2_unit", {"grade": s, "g": g}))
-        cur = nxt
+        if j in cur.coeffs:
+            cur = _clear_grade(cur, j, i, n, cap, records)
 
     # final verification against the built representative
     tgt = target.truncate(cap)
@@ -1081,19 +1046,11 @@ def canonicalize(rule, cap=None):
 def _fix_grade_2i(cur, target, i, n, cap, records):
     """Match the grade-2i coefficient to the canonical one."""
     field = cur.field
-    xi = cur.zeta
-    one = field.one()
     want = target.coeffs.get(2 * i, LaurentSeries.zero(field))
+    if 2 * i in cur.coeffs:
+        # only the non-equivariant junk: the interaction is done below
+        cur = _clear_grade(cur, 2 * i, None, n, cap, records)
     delta = cur.coeffs.get(2 * i, LaurentSeries.zero(field))
-    good, junk = _component_split(delta, n, 1)
-    if not junk.is_zero():
-        b = _diagonal_solve(field, junk, xi, n)
-        y = cur.element({0: cur.t1_series(), 2 * i: b})
-        nxt = change_t1(cur, y, cap)
-        _check_kill(cur, nxt, 2 * i, allow_nonzero=True)
-        records.append(ParameterChange("t1_shift", {"grade": 2 * i, "b": b}))
-        cur = nxt
-        delta = cur.coeffs.get(2 * i, LaurentSeries.zero(field))
     guard = 0
     while True:
         resid = delta - want
@@ -1115,9 +1072,10 @@ def _fix_grade_2i(cur, target, i, n, cap, records):
             raise NotSolvable(
                 "grade-2i residual reaches t1^%d below the monotone range" % e
             )
+        # the probe is read only at grade 2i, so it is solved only that far
         probe_b = LaurentSeries.monomial(field, mu)
         y = cur.element({0: cur.t1_series(), i: probe_b})
-        probed = change_t1(cur, y, cap)
+        probed = change_t1(cur, y, 2 * i + 1)
         _check_kill(cur, probed, 2 * i, allow_nonzero=True)
         pd = probed.coeffs.get(2 * i, LaurentSeries.zero(field))
         lam = pd.coeffs.get(e, field.zero())

@@ -149,6 +149,19 @@ def test_inadmissible_set_is_an_error(capsys):
     assert "error:" in err
 
 
+def test_non_integer_set_entry_is_an_error(capsys):
+    status, out, err = run(capsys, "skew-construct", "--set", "1,1,x,0,1,0")
+    assert (status, out) == (1, "")
+    assert err.startswith("error: ") and "'x'" in err
+
+
+def test_deep_nesting_is_an_error(capsys):
+    for text in ("(" * 3000 + "t" + ")" * 3000, "-" * 3000 + "t"):
+        status, out, err = run(capsys, "autonorm", "--series=" + text)
+        assert (status, out) == (1, "")
+        assert err.startswith("error: ") and "nested" in err
+
+
 def test_env_var_overrides_default_prec(capsys, monkeypatch):
     monkeypatch.setenv("SKEWLOCAL_PREC", "10")
     status, out, err = run(capsys, "autonorm", "--series", "t + t^2")

@@ -7,6 +7,7 @@ from skewlocal.coeff import Field
 from skewlocal.dubrovin import Descriptor, HeisenbergElement
 from skewlocal.errors import ParseError
 from skewlocal.parsing import (
+    MAX_NESTING,
     parse_heis,
     parse_psido,
     parse_rule_text,
@@ -76,6 +77,18 @@ def test_series_parsing():
     assert got.coeff(2) == C3.add(C3.one(), C3.zeta())
     assert parse_series("t/t", Q) == S(Q, {0: Fraction(1)})
     assert parse_series("2", F5).coeff(0) == F5.from_int(2)
+
+
+def test_nesting_limit_and_long_chains():
+    depth = MAX_NESTING
+    assert parse_series("(" * depth + "t" + ")" * depth, Q) == S(Q, {1: Fraction(1)})
+    assert parse_series("-" * depth + "t", Q) == S(Q, {1: Fraction(1)})
+    for text in ("(" * (depth + 1) + "t" + ")" * (depth + 1), "-" * (depth + 1) + "t"):
+        with pytest.raises(ParseError):
+            parse_series(text, Q)
+    # long sums and products nest to the left, not deeper
+    assert parse_scalar("1" + " + 1" * 3000, Q) == Fraction(3001)
+    assert parse_series("t" + "*t" * 3000, Q, prec=5) == S(Q, {}, prec=5)
 
 
 def test_series_prec_flag_truncates():

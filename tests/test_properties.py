@@ -1,5 +1,6 @@
-"""Property tests for composition, the closed-form elementary inverse and
-the normal form reduction, checked against independent references."""
+"""Property tests for composition, the closed-form elementary inverse, the
+normal form reduction and the windowed skew solvers, checked against
+independent references."""
 
 from fractions import Fraction
 
@@ -14,10 +15,20 @@ from skewlocal.autonorm import (
     normalize,
 )
 from skewlocal.coeff import Field
+from skewlocal.errors import NotSolvable, SkewFieldError
 from skewlocal.series import LaurentSeries
+from skewlocal.skew import (
+    CommutationRule,
+    SkewSeries,
+    change_t1,
+    change_t2,
+    skew_invert,
+    skew_mul,
+)
 
 Q = Field.rationals()
 C3 = Field.cyclotomic(3)
+F7 = Field.prime_field(7)
 
 fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
 nonzero_fractions = fractions.filter(lambda c: c != 0)
@@ -33,6 +44,8 @@ def cyclotomic_elements(field, nonzero=False):
 def elements(field, nonzero=False):
     if field.kind == "cyclotomic":
         return cyclotomic_elements(field, nonzero)
+    if field.char():
+        return st.integers(1 if nonzero else 0, field.char() - 1).map(field.from_int)
     return nonzero_fractions if nonzero else fractions
 
 
@@ -162,3 +175,140 @@ def test_normalize_conjugator_reproduces_normal_form(data):
     nf = normalize(a, prec)
     assert (nf.zeta, nf.n, nf.i_alpha) == (zeta, n, i)
     assert conjugate(a, nf.conjugator) == nf.normal_form
+
+
+# -- windowed skew solvers against full-cap references ---------------------------
+
+
+def _reference_change_t2(rule, w_el, cap):
+    """change_t2 with every N_j and Phi^j(W) built to the full cap."""
+    w = SkewSeries(rule, w_el.terms, w_el.gprec).truncate(cap)
+    c_el = SkewSeries(rule, rule.coeffs, rule.t2_prec).truncate(cap)
+    x = skew_mul(skew_mul(w, c_el, cap), skew_invert(w, cap), cap)
+    ns = [rule.one()]
+    phiw = w
+    for j in range(1, cap):
+        ns.append(skew_mul(ns[-1], phiw, cap))
+        phiw = rule._apply_phi(phiw, cap)
+    out = {}
+    for g in range(0, cap):
+        acc = x.coeff(g)
+        for j, cj in out.items():
+            nterm = ns[j].terms.get(g - j)
+            if j < g and nterm is not None:
+                acc = acc - cj * nterm
+        cg = acc / ns[g].coeff(0)
+        if not cg.is_zero():
+            out[g] = cg
+    return CommutationRule(rule.field, out, cap)
+
+
+def _reference_inverse_rule(rule, cap):
+    """inverse_rule with Phi applied at the full cap on every step."""
+    d0 = rule.coeffs[0].comp_invert()
+    if set(rule.coeffs) == {0}:
+        return CommutationRule(rule.field, {0: d0}, rule.t2_prec)
+    terms = {0: d0}
+    t1el = rule.t1()
+    for s in range(1, cap):
+        resid = rule._apply_phi(SkewSeries(rule, terms, s + 1), cap) - t1el
+        if resid.val_floor() < s:
+            raise NotSolvable("residue below grade %d" % s)
+        rho = resid.coeff(s)
+        if not rho.is_zero():
+            terms[s] = (-rho).compose(d0)
+    final = rule._apply_phi(SkewSeries(rule, terms, cap), cap) - t1el
+    if not final.is_zero() and final.valuation() < cap:
+        raise NotSolvable("verification failed")
+    return CommutationRule(rule.field, terms, cap)
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type of the library error it raised."""
+    try:
+        return fn(*args)
+    except SkewFieldError as exc:
+        return type(exc)
+
+
+@st.composite
+def series_data(draw, field, lo, hi, prec):
+    coeffs = draw(st.dictionaries(st.integers(lo, hi), elements(field), max_size=3))
+    return {e: c for e, c in coeffs.items() if prec is None or e < prec}
+
+
+@st.composite
+def rule_data(draw, t2_prec=True):
+    """(field, coefficient dicts, t1-precision, t2_prec) of a random rule.
+
+    The residue automorphism is nonlinear only with truncated coefficients:
+    exact nonlinear substitutions grow without bound."""
+    field = draw(st.sampled_from([Q, C3, F7]))
+    t1_prec = draw(st.one_of(st.none(), st.integers(5, 8)))
+    n = draw(st.sampled_from([1, 3] if field is C3 else [1, 2]))
+    c0 = {1: field.primitive_root_of_unity(n)}
+    if t1_prec is not None:
+        c0.update(draw(series_data(field, 2, 4, t1_prec)))
+    coeffs = {0: c0}
+    for j in draw(st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True)):
+        coeffs[j] = draw(series_data(field, 0, 3, t1_prec))
+    t2p = draw(st.one_of(st.none(), st.integers(3, 6))) if t2_prec else None
+    return field, coeffs, t1_prec, t2p
+
+
+def _rule(data):
+    """A fresh rule, so that no twist cache is shared between the two sides."""
+    field, coeffs, t1_prec, t2p = data
+    return CommutationRule(
+        field,
+        {j: LaurentSeries(field, c, t1_prec) for j, c in coeffs.items()},
+        t2p,
+    )
+
+
+@settings(max_examples=60, deadline=5000, database=None)
+@given(rule_data(), st.data())
+def test_change_t2_matches_full_cap_reference(data, more):
+    field, _, t1_prec, t2p = data
+    w = {0: {0: more.draw(elements(field, nonzero=True))}}
+    w[0].update(more.draw(series_data(field, 1, 3, t1_prec)))
+    for s in more.draw(st.lists(st.integers(1, 3), max_size=2, unique=True)):
+        w[s] = more.draw(series_data(field, 0, 2, t1_prec))
+    cap = more.draw(st.integers(2, 5) if t2p is None else st.integers(2, t2p))
+
+    def run(fn):
+        rule = _rule(data)
+        el = rule.element({s: LaurentSeries(field, c, t1_prec) for s, c in w.items()})
+        return _outcome(fn, rule, el, cap)
+
+    assert run(change_t2) == run(_reference_change_t2)
+
+
+@settings(max_examples=40, deadline=5000, database=None)
+@given(rule_data(t2_prec=False), st.integers(1, 2), st.integers(0, 3), st.data())
+def test_grade_2i_probe_window(data, i, mu, more):
+    """The grade-2i probe t1' = t1 + t1^mu t2^i solved to 2i + 1 agrees with
+    the solve at a larger cap on every grade <= 2i."""
+    field = data[0]
+    cap = more.draw(st.integers(2 * i + 2, 2 * i + 3))
+
+    def run(c):
+        rule = _rule(data)
+        y = rule.element({0: rule.t1_series(), i: LaurentSeries.monomial(field, mu)})
+        return _outcome(change_t1, rule, y, c)
+
+    full = run(cap)
+    if isinstance(full, type):
+        # the full solve failed, possibly above grade 2i only
+        return
+    window = run(2 * i + 1)
+    assert window.t2_prec == 2 * i + 1
+    for q in range(2 * i + 1):
+        assert window.coeffs.get(q) == full.coeffs.get(q)
+
+
+@settings(max_examples=40, deadline=5000, database=None)
+@given(rule_data(), st.integers(2, 5))
+def test_inverse_rule_matches_full_cap_reference(data, cap):
+    got = _outcome(lambda: _rule(data).inverse_rule(cap))
+    assert got == _outcome(_reference_inverse_rule, _rule(data), cap)
