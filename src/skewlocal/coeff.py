@@ -10,7 +10,7 @@ Elements are plain payloads and all arithmetic goes through the owning
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     DivisionByZero,
@@ -100,6 +100,63 @@ def _cyclotomic_poly(n):
     return poly
 
 
+def join_terms(parts):
+    """Formatted terms joined as a sum: a term with a leading "-" is
+    subtracted; "0" for no terms."""
+    if not parts:
+        return "0"
+    return parts[0] + "".join(
+        " - " + t[1:] if t.startswith("-") else " + " + t for t in parts[1:]
+    )
+
+
+def _clear(coeffs):
+    """(lcm of the denominators, integer numerators over it) of a map of
+    Fractions."""
+    den = lcm(*[c.denominator for c in coeffs.values()])
+    return den, {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+
+
+def _pack(coords, w):
+    """Each integer coordinate vector as one int, slot i at bit w * i."""
+    out = {}
+    for e, xs in coords.items():
+        packed = 0
+        for v in reversed(xs):
+            packed = (packed << w) + v
+        out[e] = packed
+    return out
+
+
+def _accumulate(a, b, bound):
+    """Sums of the pair products of two maps of ints, per exponent below
+    bound, keyed in first-seen pair order."""
+    acc = {}
+    for e1, x in a.items():
+        for e2, y in b.items():
+            e = e1 + e2
+            if bound is not None and e >= bound:
+                continue
+            if e in acc:
+                acc[e] += x * y
+            else:
+                acc[e] = x * y
+    return acc
+
+
+def _direct(ca, cb, bound, p):
+    """Pair products one by one (reduced mod p unless p is None), for a
+    factor with one term: no two pairs share an exponent, and a product of
+    nonzero elements is nonzero."""
+    out = {}
+    for e1, x in ca.items():
+        for e2, y in cb.items():
+            e = e1 + e2
+            if bound is None or e < bound:
+                out[e] = x * y if p is None else x * y % p
+    return out
+
+
 def _iroot(n, d):
     """Exact integer d-th root of n >= 0, or None."""
     if n == 0:
@@ -131,18 +188,19 @@ class Field:
                 raise ValueError("cyclotomic order must be a positive integer")
             self.modulus = _cyclotomic_poly(n)
             self.degree = len(self.modulus) - 1
-            # x^k mod Phi_n for k = degree .. 2*degree - 2
+            # x^k mod Phi_n for k = degree .. 2*degree - 2, as (i, c) pairs
+            # of the nonzero integer coefficients (Phi_n is monic in Z[x])
             pows = []
-            rem = [-c for c in self.modulus[:-1]]  # x^degree, Phi_n is monic
+            rem = [-int(c) for c in self.modulus[:-1]]  # x^degree
             for _ in range(self.degree - 1):
                 pows.append(list(rem))
-                rem = [_ZERO] + rem
+                rem = [0] + rem
                 top = rem.pop()
                 if top:
                     base = pows[0]
                     for i in range(self.degree):
                         rem[i] += top * base[i]
-            self._xpow = pows
+            self._xpow = [[(i, c) for i, c in enumerate(row) if c] for row in pows]
         elif kind == PRIME:
             if not _is_prime(param):
                 raise ValueError("%r is not prime" % (param,))
@@ -297,11 +355,83 @@ class Field:
         for k, hk in enumerate(high):
             if hk == 0:
                 continue
-            red = self._xpow[k]
-            for i in range(len(red)):
-                if red[i]:
-                    out[i] += hk * red[i]
+            for i, c in self._xpow[k]:
+                out[i] += hk * c
         return tuple(out)
+
+    def convolve(self, ca, cb, bound=None):
+        """Nonzero coefficients below ``bound`` (None: all) of the product of
+        the sparse maps ``ca``, ``cb`` (exponent -> nonzero element).
+
+        Exact and equal to summing ``mul`` over all pairs, in the same key
+        order, but computed on integers: over Q and Q(zeta_n) each factor is
+        brought to one common denominator, and each output coefficient is
+        divided (and over Q(zeta_n) reduced modulo Phi_n) once.
+        """
+        if not ca or not cb:
+            return {}
+        if self.kind == CYCLOTOMIC:
+            return self._convolve_cyclotomic(ca, cb, bound)
+        p = self.param if self.kind == PRIME else None
+        if len(ca) == 1 or len(cb) == 1:
+            # monomials and scalars: clearing denominators costs more here
+            return _direct(ca, cb, bound, p)
+        if p is not None:
+            out = {}
+            for e, v in _accumulate(ca, cb, bound).items():
+                v %= p
+                if v:
+                    out[e] = v
+            return out
+        da, na = _clear(ca)
+        db, nb = _clear(cb)
+        den = da * db
+        return {e: Fraction(v, den) for e, v in _accumulate(na, nb, bound).items() if v}
+
+    def _convolve_cyclotomic(self, ca, cb, bound):
+        """``convolve`` over Q(zeta_n): one bigint product per term pair."""
+        d = self.degree
+        da = lcm(*[c.denominator for x in ca.values() for c in x])
+        db = lcm(*[c.denominator for x in cb.values() for c in x])
+        ia = {e: [c.numerator * (da // c.denominator) for c in x] for e, x in ca.items()}
+        ib = {e: [c.numerator * (db // c.denominator) for c in x] for e, x in cb.items()}
+        # a slot holds one coordinate of the product before reduction,
+        # summed over the at most min(#a, #b) term pairs of an exponent: a
+        # sum of at most d * min(#a, #b) products, so |slot| < 2^(w - 2),
+        # inside the signed range of w bits
+        ma = max(abs(v) for x in ia.values() for v in x)
+        mb = max(abs(v) for x in ib.values() for v in x)
+        w = (
+            ma.bit_length()
+            + mb.bit_length()
+            + (d * min(len(ca), len(cb))).bit_length()
+            + 2
+        )
+        acc = _accumulate(_pack(ia, w), _pack(ib, w), bound)
+        mask = (1 << w) - 1
+        half = 1 << (w - 1)
+        full = 1 << w
+        den = da * db
+        xpow = self._xpow
+        out = {}
+        for e, packed in acc.items():
+            # unpack the 2d - 1 signed slots, lowest first
+            slots = []
+            for _ in range(2 * d - 1):
+                r = packed & mask
+                if r >= half:
+                    r -= full
+                slots.append(r)
+                packed = (packed - r) >> w
+            coords = slots[:d]
+            for k in range(d - 1):
+                h = slots[d + k]
+                if h:
+                    for i, c in xpow[k]:
+                        coords[i] += h * c
+            if any(coords):
+                out[e] = tuple(Fraction(v, den) if v else _ZERO for v in coords)
+        return out
 
     def inv(self, a):
         if self.is_zero(a):
@@ -471,15 +601,7 @@ class Field:
                 else:
                     term = "%s*%s" % (c, var)
                 parts.append(term)
-        if not parts:
-            return "0"
-        out = parts[0]
-        for term in parts[1:]:
-            if term.startswith("-"):
-                out += " - " + term[1:]
-            else:
-                out += " + " + term
-        return out
+        return join_terms(parts)
 
     def is_simple(self, a):
         """True when format_element(a) needs no parentheses inside a product."""

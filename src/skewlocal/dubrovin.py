@@ -6,6 +6,7 @@ sum_k f_k(x, y) z^k with all x powers left of y powers.  w(a) is the least
 k with f_k nonzero, and is a discrete valuation: w(ab) = w(a) + w(b).
 """
 
+from .coeff import join_terms
 from .errors import FieldMismatch
 from .series import LaurentSeries
 
@@ -219,8 +220,6 @@ class HeisenbergElement:
         for k in sorted(self.levels):
             for a, b in sorted(self.levels[k]):
                 items.append((k, a, b, self.levels[k][(a, b)]))
-        if not items:
-            return "0"
         parts = []
         for k, a, b, c in items:
             word = []
@@ -243,13 +242,7 @@ class HeisenbergElement:
             else:
                 term = "%s*%s" % (cs, body)
             parts.append(term)
-        text = parts[0]
-        for term in parts[1:]:
-            if term.startswith("-"):
-                text += " - " + term[1:]
-            else:
-                text += " + " + term
-        return text
+        return join_terms(parts)
 
     def __repr__(self):
         return "<heis %s>" % self.format()

@@ -14,6 +14,7 @@ whose tail terminates exactly when the derivatives of a run out; otherwise
 it is truncated at the working depth.
 """
 
+from .coeff import join_terms
 from .errors import FieldMismatch, NotInvertible, PrecisionExhausted
 from .series import DEFAULT_PRECISION, LaurentSeries
 from .skew import SkewSeries, build_from_rule
@@ -21,6 +22,7 @@ from .skew import SkewSeries, build_from_rule
 _NEG_INF = float("-inf")
 
 
+# -inf, not series._p's +inf: a cut bounds the unknown exponents from above
 def _c(cut):
     return _NEG_INF if cut is None else cut
 
@@ -178,15 +180,7 @@ class PsiDO:
             else:
                 term = "%s*%s" % (body, ds)
             parts.append(term)
-        if not parts:
-            body = "0"
-        else:
-            body = parts[0]
-            for term in parts[1:]:
-                if term.startswith("-"):
-                    body += " - " + term[1:]
-                else:
-                    body += " + " + term
+        body = join_terms(parts)
         if self.cut is not None:
             tail = "O(D^%d)" % self.cut
             body = tail if body == "0" else "%s + %s" % (body, tail)

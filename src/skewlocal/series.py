@@ -8,6 +8,7 @@ A series carries a precision ``prec``: coefficients of exponents below
 from fractions import Fraction
 from math import inf
 
+from .coeff import join_terms
 from .errors import (
     FieldMismatch,
     NonConvergent,
@@ -25,6 +26,15 @@ def _p(prec):
 
 def _unp(prec):
     return None if prec == inf else int(prec)
+
+
+def _series(field, coeffs, prec):
+    """A series from coefficients that are already nonzero and below prec."""
+    out = LaurentSeries.__new__(LaurentSeries)
+    out.field = field
+    out.coeffs = coeffs
+    out.prec = prec
+    return out
 
 
 class LaurentSeries:
@@ -139,23 +149,13 @@ class LaurentSeries:
             )
         )
         f = self.field
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if prec is not None and e >= prec:
-                    continue
-                v = f.mul(c1, c2)
-                out[e] = f.add(out[e], v) if e in out else v
-        return LaurentSeries(f, out, prec)
+        return _series(f, f.convolve(self.coeffs, other.coeffs, prec), prec)
 
     def scale(self, c):
         f = self.field
         if f.is_zero(c):
             return LaurentSeries(f, None, self.prec)
-        return LaurentSeries(
-            f, {e: f.mul(c, x) for e, x in self.coeffs.items()}, self.prec
-        )
+        return _series(f, f.convolve({0: c}, self.coeffs), self.prec)
 
     def shift(self, m):
         prec = None if self.prec is None else self.prec + m
@@ -368,15 +368,7 @@ class LaurentSeries:
                 else:
                     term = "(%s)*%s" % (cs, vs)
             parts.append(term)
-        if not parts:
-            body = "0"
-        else:
-            body = parts[0]
-            for term in parts[1:]:
-                if term.startswith("-"):
-                    body += " - " + term[1:]
-                else:
-                    body += " + " + term
+        body = join_terms(parts)
         if self.prec is not None:
             tail = "O(%s^%d)" % (var, self.prec)
             body = tail if body == "0" else "%s + %s" % (body, tail)

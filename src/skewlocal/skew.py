@@ -22,15 +22,8 @@ from .errors import (
     UnsupportedField,
     ZeroDivisorCandidate,
 )
-from .series import DEFAULT_PRECISION, LaurentSeries
-
-
-def _pg(g):
-    return inf if g is None else g
-
-
-def _ung(g):
-    return None if g == inf else int(g)
+from .coeff import join_terms
+from .series import DEFAULT_PRECISION, LaurentSeries, _p, _unp
 
 
 class SkewSeries:
@@ -83,7 +76,7 @@ class SkewSeries:
         out = dict(self.terms)
         for j, s in other.terms.items():
             out[j] = out[j] + s if j in out else s
-        return SkewSeries(self.rule, out, _ung(min(_pg(self.gprec), _pg(other.gprec))))
+        return SkewSeries(self.rule, out, _unp(min(_p(self.gprec), _p(other.gprec))))
 
     def __neg__(self):
         return SkewSeries(self.rule, {j: -s for j, s in self.terms.items()}, self.gprec)
@@ -110,7 +103,7 @@ class SkewSeries:
         return SkewSeries(self.rule, {j + m: s for j, s in self.terms.items()}, gp)
 
     def truncate(self, gprec):
-        new = _ung(min(_pg(self.gprec), _pg(gprec)))
+        new = _unp(min(_p(self.gprec), _p(gprec)))
         if new == self.gprec:
             return self
         return SkewSeries(self.rule, self.terms, new)
@@ -128,7 +121,7 @@ class SkewSeries:
 
     def agrees(self, other, upto=None):
         self._check(other)
-        bound = min(_pg(self.gprec), _pg(other.gprec), _pg(upto))
+        bound = min(_p(self.gprec), _p(other.gprec), _p(upto))
         for j in set(self.terms) | set(other.terms):
             if j >= bound:
                 continue
@@ -161,15 +154,7 @@ class SkewSeries:
             else:
                 term = "%s*%s" % (body, t2s)
             parts.append(term)
-        if not parts:
-            body = "0"
-        else:
-            body = parts[0]
-            for term in parts[1:]:
-                if term.startswith("-"):
-                    body += " - " + term[1:]
-                else:
-                    body += " + " + term
+        body = join_terms(parts)
         if self.gprec is not None:
             tail = "O(t2^%d)" % self.gprec
             body = tail if body == "0" else "%s + %s" % (body, tail)
@@ -228,7 +213,7 @@ class CommutationRule:
         if t1_prec is not None:
             coeffs = {j: s.truncate(t1_prec) for j, s in coeffs.items()}
         return CommutationRule(
-            self.field, coeffs, _ung(min(_pg(self.t2_prec), _pg(t2_prec)))
+            self.field, coeffs, _unp(min(_p(self.t2_prec), _p(t2_prec)))
         )
 
     def default_cap(self):
@@ -276,7 +261,7 @@ class CommutationRule:
         if m < 0:
             invr = self.inverse_rule(cap)
             return self._rebind(invr.phi_image(-m, cap))
-        need = _pg(cap)
+        need = _p(cap)
         cached = self._phi_cache.get(m)
         if cached is not None:
             if cached[1].gprec is None:
@@ -296,8 +281,8 @@ class CommutationRule:
     def _apply_phi(self, x, cap):
         """Phi applied to a whole element: sum Phi(x_l) t2^l."""
         acc = {}
-        capg = _pg(cap)
-        gp = _pg(x.gprec)
+        capg = _p(cap)
+        gp = _p(x.gprec)
         for l in sorted(x.terms):
             b = min(capg, gp)
             if l >= b:
@@ -310,7 +295,7 @@ class CommutationRule:
             for g, sg in w.terms.items():
                 j = l + g
                 acc[j] = acc[j] + sg if j in acc else sg
-        return SkewSeries(self, acc, _ung(min(gp, capg)))
+        return SkewSeries(self, acc, _unp(min(gp, capg)))
 
     def _phi_power(self, m, e, cap):
         """(Phi^m(t1))^e, cached per rule with per-entry caps.
@@ -319,7 +304,7 @@ class CommutationRule:
         entry records the cap it was computed at and is only reused when
         that is large enough.
         """
-        need = _pg(cap)
+        need = _p(cap)
         pows = self._pow_cache.setdefault(m, {})
         entry = pows.get(e)
         if entry is not None:
@@ -366,7 +351,7 @@ class CommutationRule:
     def inverse_rule(self, t2_prec=None):
         """The rule for t2^-1 t1 t2, solved order by order."""
         cap = t2_prec if t2_prec is not None else self.default_cap()
-        if self._inverse is not None and _pg(self._inverse.t2_prec) >= cap:
+        if self._inverse is not None and _p(self._inverse.t2_prec) >= cap:
             return self._inverse
         d0 = self.coeffs[0].comp_invert()
         if set(self.coeffs) == {0}:
@@ -440,7 +425,7 @@ def skew_mul(u, v, cap=None):
     rule = u.rule
     vfu = u.val_floor()
     vfv = v.val_floor()
-    bound = min(_pg(u.gprec) + vfv, _pg(v.gprec) + vfu, _pg(cap))
+    bound = min(_p(u.gprec) + vfv, _p(v.gprec) + vfu, _p(cap))
     if bound == inf and not (u.gprec is None and v.gprec is None):
         bound = DEFAULT_PRECISION
     out = {}
@@ -455,7 +440,7 @@ def skew_mul(u, v, cap=None):
                 if not w.is_zero():
                     out[base] = out[base] + w if base in out else w
                 continue
-            budget = _ung(eff - base) if eff != inf else None
+            budget = _unp(eff - base) if eff != inf else None
             tw = rule.twist(cv, m, budget)
             if tw.gprec is not None:
                 eff = min(eff, base + tw.gprec)
@@ -465,7 +450,7 @@ def skew_mul(u, v, cap=None):
                 if piece.is_zero():
                     continue
                 out[j] = out[j] + piece if j in out else piece
-    return SkewSeries(rule, out, _ung(eff))
+    return SkewSeries(rule, out, _unp(eff))
 
 
 def skew_invert(u, cap=None):
@@ -479,7 +464,7 @@ def skew_invert(u, cap=None):
     if cap is None and u.gprec is None and len(u.terms) == 1:
         # a single exact term a*t2^v inverts in closed form
         return rule.twist(av.mul_invert(), -v2, None).rshift_t2(-v2)
-    if _pg(u.gprec) != inf:
+    if _p(u.gprec) != inf:
         out_g = u.gprec - 2 * v2
         if cap is not None:
             out_g = min(out_g, cap)
@@ -556,7 +541,7 @@ def change_t1(rule, y_el, cap=None):
     are peeled off grade by grade and the expansion is verified exactly.
     """
     if cap is None:
-        cap = min(_pg(rule.t2_prec), _pg(y_el.gprec), DEFAULT_PRECISION)
+        cap = min(_p(rule.t2_prec), _p(y_el.gprec), DEFAULT_PRECISION)
     y0 = y_el.coeff(0)
     autonorm.DiskAutomorphism(y0)  # validates valuation 1, unit linear term
     y = y_el.truncate(cap)
@@ -625,7 +610,7 @@ def change_t2(rule, w_el, cap=None):
     only to that grade as well; each is built to exactly that window.
     """
     if cap is None:
-        cap = min(_pg(rule.t2_prec), _pg(w_el.gprec), DEFAULT_PRECISION)
+        cap = min(_p(rule.t2_prec), _p(w_el.gprec), DEFAULT_PRECISION)
     w = SkewSeries(rule, w_el.terms, w_el.gprec).truncate(cap)
     w0 = w.coeff(0)
     if w0.is_zero():

@@ -1,8 +1,9 @@
 """Property tests for composition, the closed-form elementary inverse, the
-normal form reduction and the windowed skew solvers, checked against
-independent references."""
+normal form reduction, the windowed skew solvers and the integer series
+product, checked against independent references."""
 
 from fractions import Fraction
+from math import inf
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -312,3 +313,118 @@ def test_grade_2i_probe_window(data, i, mu, more):
 def test_inverse_rule_matches_full_cap_reference(data, cap):
     got = _outcome(lambda: _rule(data).inverse_rule(cap))
     assert got == _outcome(_reference_inverse_rule, _rule(data), cap)
+
+
+# -- integer series products against the coefficient-by-coefficient loop ----
+
+KERNEL_FIELDS = (
+    [Q]
+    + [Field.cyclotomic(n) for n in (1, 2, 3, 4, 5, 7, 12)]
+    + [Field.prime_field(p) for p in (2, 7, 10007)]
+)
+
+
+def _reference_mul(a, b):
+    """a * b as one Field.mul and Field.add per coefficient pair."""
+    f = a.field
+    prec = min(
+        inf if a.prec is None else a.prec + b.val_floor(),
+        inf if b.prec is None else b.prec + a.val_floor(),
+    )
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            e = e1 + e2
+            if e >= prec:
+                continue
+            v = f.mul(c1, c2)
+            out[e] = f.add(out[e], v) if e in out else v
+    return LaurentSeries(f, out, None if prec == inf else prec)
+
+
+def _reference_scale(a, c):
+    f = a.field
+    return LaurentSeries(f, {e: f.mul(c, x) for e, x in a.coeffs.items()}, a.prec)
+
+
+@st.composite
+def tall_elements(draw, field):
+    """Elements with numerators up to 2^300 and denominators up to 2^64."""
+    if field.char():
+        return draw(st.integers(0, field.char() - 1))
+    bits = draw(st.sampled_from([3, 64, 300]))
+    tall = st.builds(
+        Fraction,
+        st.integers(-(1 << bits), 1 << bits),
+        st.integers(1, 1 << min(bits, 64)),
+    )
+    if field.kind == "cyclotomic":
+        return tuple(draw(st.lists(tall, min_size=field.degree, max_size=field.degree)))
+    return draw(tall)
+
+
+@st.composite
+def series_pairs(draw):
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+
+    def series():
+        size = draw(st.sampled_from([1, 2, 8]))
+        coeffs = draw(st.dictionaries(st.integers(-8, 8), tall_elements(field), max_size=size))
+        prec = draw(st.one_of(st.none(), st.integers(-6, 12)))
+        return LaurentSeries(field, coeffs, prec)
+
+    return field, series(), series()
+
+
+@settings(max_examples=300, deadline=3000, database=None)
+@given(series_pairs(), st.data())
+def test_series_product_matches_coefficient_loop(data, more):
+    field, a, b = data
+    got = a * b
+    ref = _reference_mul(a, b)
+    assert got == ref
+    assert list(got.coeffs) == list(ref.coeffs)
+    c = more.draw(tall_elements(field))
+    assert a.scale(c) == _reference_scale(a, c)
+    # the kernel itself, cut at any bound
+    bound = more.draw(st.integers(-16, 16))
+    exact = _reference_mul(LaurentSeries(field, a.coeffs), LaurentSeries(field, b.coeffs))
+    cut = {e: x for e, x in exact.coeffs.items() if e < bound}
+    assert field.convolve(a.coeffs, b.coeffs, bound) == cut
+
+
+@settings(max_examples=100, deadline=3000, database=None)
+@given(series_pairs())
+def test_series_product_exact_cancellation(data):
+    """a(t) a(-t) is even: every odd exponent cancels exactly, and so does
+    the t term of (x + x t)(x - x t)."""
+    field, a, _ = data
+    f = field
+    mirror = LaurentSeries(
+        f, {e: f.neg(c) if e % 2 else c for e, c in a.coeffs.items()}, a.prec
+    )
+    got = a * mirror
+    assert got == _reference_mul(a, mirror)
+    if field.char() != 2:
+        assert all(e % 2 == 0 for e in got.coeffs)
+    x = next(iter(a.coeffs.values()), f.one())
+    pair = LaurentSeries(f, {0: x, 1: x}) * LaurentSeries(f, {0: x, 1: f.neg(x)})
+    assert pair == LaurentSeries(f, {0: f.mul(x, x), 2: f.neg(f.mul(x, x))})
+
+
+@settings(max_examples=60, deadline=3000, database=None)
+@given(
+    st.sampled_from([Field.cyclotomic(n) for n in (1, 2, 3, 4, 5, 7, 12)]),
+    st.integers(1, 6),
+    st.sampled_from([1, 2, 64, 300]),
+    st.booleans(),
+)
+def test_series_product_at_the_slot_bound(field, m, bits, negate):
+    """Every coordinate of m terms a side at +-(2^bits - 1): the middle slot of
+    the exponent m - 1 sums d * m equal products, the largest value a slot
+    of the packed product can hold."""
+    top = Fraction((1 << bits) - 1)
+    a = LaurentSeries(field, {e: (top,) * field.degree for e in range(m)})
+    sign = -top if negate else top
+    b = LaurentSeries(field, {e: (sign,) * field.degree for e in range(m)})
+    assert a * b == _reference_mul(a, b)
