@@ -333,6 +333,14 @@ class Field:
             return tuple(-x for x in a)
         return (-a) % self.param
 
+    def mul_int(self, a, m):
+        """a times the integer m, without building the element m first."""
+        if self.kind == RATIONAL:
+            return a * m
+        if self.kind == CYCLOTOMIC:
+            return tuple(x * m for x in a)
+        return (a * m) % self.param
+
     def mul(self, a, b):
         if self.kind == RATIONAL:
             return a * b

@@ -586,6 +586,9 @@ def parse_rule_text(text):
     coeffs = c_value.coeffs
     if saw_prec and t1_prec is not None:
         coeffs = {j: s.truncate(t1_prec) for j, s in coeffs.items()}
+    c0 = coeffs.get(0)
+    if c0 is None or c0.is_zero() or (gp is not None and gp <= 0):
+        raise ParseError("C needs a nonzero t2-free term c_0(t1)")
     return build_from_rule(field, coeffs, gp)
 
 

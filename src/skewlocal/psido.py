@@ -205,15 +205,20 @@ def psido_compose(u, v, depth=None):
     window = depth if depth is not None else DEFAULT_PRECISION
     hard = tu + tv - window
     out = {}
+    # the derivative chains b, b', b'', ... of v's coefficients, grown on
+    # demand and shared by every term of u
+    chains = {l: [b] for l, b in v.coeffs.items()}
     for k, a in u.coeffs.items():
-        for l, b in v.coeffs.items():
+        for l, chain in chains.items():
             floor = hard if k < 0 else _NEG_INF
             j = 0
-            bj = b
             coef = 1
             while True:
                 if k >= 0 and j > k:
                     break
+                if j == len(chain):
+                    chain.append(chain[-1].derive())
+                bj = chain[j]
                 if bj.is_zero() and bj.prec is None:
                     break
                 g = k + l - j
@@ -222,12 +227,13 @@ def psido_compose(u, v, depth=None):
                 if g <= floor:
                     eff = max(eff, g)
                     break
-                term = (a * bj).scale(field.from_int(coef))
+                term = a * bj
+                if coef != 1:
+                    term = term.scale(field.from_int(coef))
                 if not term.is_zero():
                     out[g] = out[g] + term if g in out else term
                 j += 1
                 coef = coef * (k - j + 1) // j
-                bj = bj.derive()
     return PsiDO(field, out, _uc(eff))
 
 

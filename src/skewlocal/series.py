@@ -332,7 +332,7 @@ class LaurentSeries:
         for e, c in self.coeffs.items():
             if e == 0:
                 continue
-            out[e - 1] = f.mul(f.from_int(e), c)
+            out[e - 1] = f.mul_int(c, e)
         prec = None if self.prec is None else self.prec - 1
         return LaurentSeries(f, out, prec)
 

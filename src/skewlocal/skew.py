@@ -600,14 +600,22 @@ def _subst_element(rule, a, S, cap, pow_cache):
 def change_t2(rule, w_el, cap=None):
     """Rewrite the rule for t2' = w_el * t2.
 
-    The new coefficients solve X = sum c'_j N_j t2^j where X = W C W^-1 and
-    N_j = W Phi(W) ... Phi^(j-1)(W); the system is triangular because the
-    grade-zero part of N_j is the unit tau_j.
+    The new rule is X = W C W^-1 = sum c'_j N_j t2^j with
+    N_j = W Phi(W) ... Phi^(j-1)(W).  Since t2^j W = Phi^j(W) t2^j and
+    N_j Phi^j(W) = N_(j+1), multiplying on the right by W removes the
+    inverse:
 
-    The solve below grade cap reads N_j only below grade cap - j.  Twists
-    have grade valuation >= 0, so those grades of N_j = N_(j-1) Phi^(j-1)(W)
-    depend only on the factors below cap - j, and Phi^(j-1)(W) is needed
-    only to that grade as well; each is built to exactly that window.
+        W C = sum c'_j N_(j+1) t2^j.
+
+    The system is triangular because the grade-zero part of N_(j+1) is the
+    unit tau_(j+1): c'_g = ((W C)[g] - sum_(j<g) c'_j N_(j+1)[g-j]) / tau_(g+1).
+    W C twists C only by the grades of W, and no inverse of W is formed.
+
+    The solve below grade cap reads N_j only below grade cap - j + 1.
+    Twists have grade valuation >= 0, so those grades of
+    N_(j+1) = N_j Phi^j(W) depend only on the factors below cap - j, and
+    Phi^j(W) is needed only to that grade as well; each is built to
+    exactly that window.
     """
     if cap is None:
         cap = min(_p(rule.t2_prec), _p(w_el.gprec), DEFAULT_PRECISION)
@@ -616,20 +624,17 @@ def change_t2(rule, w_el, cap=None):
     if w0.is_zero():
         raise ZeroDivisorCandidate("t2 change needs an invertible grade-zero part")
     c_el = SkewSeries(rule, rule.coeffs, rule.t2_prec).truncate(cap)
-    x = skew_mul(skew_mul(w, c_el, cap), skew_invert(w, cap), cap)
-    # N_j to grade cap - j; phiw is Phi^(j-1)(W) to at least that grade
-    ns = [rule.one()]
+    wc = skew_mul(w, c_el, cap)
+    # ns[j] is N_(j+1) to grade cap - j; phiw is Phi^j(W) to the same grade
+    ns = [w]
     phiw = w
     for j in range(1, cap):
+        phiw = rule._apply_phi(phiw, cap - j)
         ns.append(skew_mul(ns[-1], phiw, cap - j))
-        if j + 1 < cap:
-            phiw = rule._apply_phi(phiw, cap - j - 1)
     out = {}
     for g in range(0, cap):
-        acc = x.coeff(g)
+        acc = wc.coeff(g)
         for j, cj in out.items():
-            if j >= g:
-                continue
             nterm = ns[j].terms.get(g - j)
             if nterm is not None:
                 acc = acc - cj * nterm

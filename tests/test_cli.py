@@ -155,6 +155,15 @@ def test_non_integer_set_entry_is_an_error(capsys):
     assert err.startswith("error: ") and "'x'" in err
 
 
+def test_rule_without_c0_is_an_error(capsys, tmp_path):
+    rule = tmp_path / "rule.txt"
+    for body in ("t2 + t1*t2^2", "0"):
+        rule.write_text("field: Q\nC = %s\n" % body)
+        status, out, err = run(capsys, "skew-invariants", "--rule", str(rule))
+        assert (status, out) == (1, "")
+        assert err.startswith("error: ") and "c_0" in err
+
+
 def test_deep_nesting_is_an_error(capsys):
     for text in ("(" * 3000 + "t" + ")" * 3000, "-" * 3000 + "t"):
         status, out, err = run(capsys, "autonorm", "--series=" + text)

@@ -156,6 +156,18 @@ def test_rule_file_errors():
         parse_rule_text("field: Q\nC = t1 / t2")
 
 
+def test_rule_without_c0_is_a_parse_error():
+    for text in (
+        "field: Q\nC = t2 + t1*t2^2",
+        "field: Q\nC = 0",
+        "field: Q\nC = O(t1^3) + t2",
+        "field: Q\nprec: t1=1 t2=exact\nC = t1 + t2",
+        "field: Q\nprec: t1=exact t2=0\nC = t1 + t2",
+    ):
+        with pytest.raises(ParseError, match="c_0"):
+            parse_rule_text(text)
+
+
 def test_rule_round_trips():
     z = C3.zeta()
     rules = [

@@ -1,6 +1,6 @@
 """Property tests for composition, the closed-form elementary inverse, the
-normal form reduction, the windowed skew solvers and the integer series
-product, checked against independent references."""
+normal form reduction, the windowed skew solvers, the integer series
+product and the operator product, checked against independent references."""
 
 from fractions import Fraction
 from math import inf
@@ -17,7 +17,8 @@ from skewlocal.autonorm import (
 )
 from skewlocal.coeff import Field
 from skewlocal.errors import NotSolvable, SkewFieldError
-from skewlocal.series import LaurentSeries
+from skewlocal.psido import PsiDO, psido_compose
+from skewlocal.series import DEFAULT_PRECISION, LaurentSeries
 from skewlocal.skew import (
     CommutationRule,
     SkewSeries,
@@ -182,7 +183,31 @@ def test_normalize_conjugator_reproduces_normal_form(data):
 
 
 def _reference_change_t2(rule, w_el, cap):
-    """change_t2 with every N_j and Phi^j(W) built to the full cap."""
+    """change_t2's system W C = sum c'_j N_(j+1) t2^j with every N_j and
+    Phi^j(W) built to the full cap."""
+    w = SkewSeries(rule, w_el.terms, w_el.gprec).truncate(cap)
+    c_el = SkewSeries(rule, rule.coeffs, rule.t2_prec).truncate(cap)
+    wc = skew_mul(w, c_el, cap)
+    ns = [rule.one()]
+    phiw = w
+    for j in range(0, cap):
+        ns.append(skew_mul(ns[-1], phiw, cap))
+        phiw = rule._apply_phi(phiw, cap)
+    out = {}
+    for g in range(0, cap):
+        acc = wc.coeff(g)
+        for j, cj in out.items():
+            nterm = ns[j + 1].terms.get(g - j)
+            if nterm is not None:
+                acc = acc - cj * nterm
+        cg = acc / ns[g + 1].coeff(0)
+        if not cg.is_zero():
+            out[g] = cg
+    return CommutationRule(rule.field, out, cap)
+
+
+def _inverse_formula_change_t2(rule, w_el, cap):
+    """The new rule from X = W C W^-1 = sum c'_j N_j t2^j, with W^-1 formed."""
     w = SkewSeries(rule, w_el.terms, w_el.gprec).truncate(cap)
     c_el = SkewSeries(rule, rule.coeffs, rule.t2_prec).truncate(cap)
     x = skew_mul(skew_mul(w, c_el, cap), skew_invert(w, cap), cap)
@@ -196,7 +221,7 @@ def _reference_change_t2(rule, w_el, cap):
         acc = x.coeff(g)
         for j, cj in out.items():
             nterm = ns[j].terms.get(g - j)
-            if j < g and nterm is not None:
+            if nterm is not None:
                 acc = acc - cj * nterm
         cg = acc / ns[g].coeff(0)
         if not cg.is_zero():
@@ -239,13 +264,13 @@ def series_data(draw, field, lo, hi, prec):
 
 
 @st.composite
-def rule_data(draw, t2_prec=True):
+def rule_data(draw, t2_prec=True, exact=False):
     """(field, coefficient dicts, t1-precision, t2_prec) of a random rule.
 
     The residue automorphism is nonlinear only with truncated coefficients:
     exact nonlinear substitutions grow without bound."""
     field = draw(st.sampled_from([Q, C3, F7]))
-    t1_prec = draw(st.one_of(st.none(), st.integers(5, 8)))
+    t1_prec = None if exact else draw(st.one_of(st.none(), st.integers(5, 8)))
     n = draw(st.sampled_from([1, 3] if field is C3 else [1, 2]))
     c0 = {1: field.primitive_root_of_unity(n)}
     if t1_prec is not None:
@@ -283,6 +308,36 @@ def test_change_t2_matches_full_cap_reference(data, more):
         return _outcome(fn, rule, el, cap)
 
     assert run(change_t2) == run(_reference_change_t2)
+
+
+@settings(max_examples=60, deadline=5000, database=None)
+@given(rule_data(exact=True), st.data())
+def test_change_t2_agrees_with_inverse_formula_on_exact_rules(data, more):
+    """On exact inputs the inverse-free solve has the values of the W^-1
+    formula, and at every grade at least its t1-precision: the truncated
+    W^-1 loses t1-terms that multiplying by W never drops."""
+    field, _, _, t2p = data
+    w = {0: {0: more.draw(elements(field, nonzero=True))}}
+    w[0].update(more.draw(series_data(field, 1, 3, None)))
+    for s in more.draw(st.lists(st.integers(1, 3), max_size=2, unique=True)):
+        w[s] = more.draw(series_data(field, 0, 2, None))
+    cap = more.draw(st.integers(2, 5) if t2p is None else st.integers(2, t2p))
+
+    def run(fn):
+        rule = _rule(data)
+        el = rule.element({s: LaurentSeries(field, c) for s, c in w.items()})
+        return _outcome(fn, rule, el, cap)
+
+    new, old = run(change_t2), run(_inverse_formula_change_t2)
+    if isinstance(old, type) or isinstance(new, type):
+        assert new == old
+        return
+    assert new.t2_prec == old.t2_prec
+    zero = LaurentSeries.zero(field)
+    for g in set(new.coeffs) | set(old.coeffs):
+        a, b = new.coeffs.get(g, zero), old.coeffs.get(g, zero)
+        assert a.agrees(b)
+        assert (inf if a.prec is None else a.prec) >= (inf if b.prec is None else b.prec)
 
 
 @settings(max_examples=40, deadline=5000, database=None)
@@ -428,3 +483,73 @@ def test_series_product_at_the_slot_bound(field, m, bits, negate):
     sign = -top if negate else top
     b = LaurentSeries(field, {e: (sign,) * field.degree for e in range(m)})
     assert a * b == _reference_mul(a, b)
+
+
+# -- operator products against the per-pair Leibniz loop ------------------------
+
+
+def _reference_derive(b):
+    f = b.field
+    out = {e - 1: f.mul(f.from_int(e), c) for e, c in b.coeffs.items() if e != 0}
+    return LaurentSeries(f, out, None if b.prec is None else b.prec - 1)
+
+
+def _reference_psido_compose(u, v, depth=None):
+    """u v with one Leibniz chain per term pair: every derivative rebuilt and
+    every term scaled by its binomial coefficient, 1 included."""
+    field = u.field
+    if (not u.coeffs and u.cut is None) or (not v.coeffs and v.cut is None):
+        return PsiDO(field, None, None)
+    low = -inf
+
+    def c(cut):
+        return low if cut is None else cut
+
+    tu = max(max(u.coeffs), c(u.cut)) if u.coeffs else u.cut
+    tv = max(max(v.coeffs), c(v.cut)) if v.coeffs else v.cut
+    eff = max(c(u.cut) + tv, c(v.cut) + tu)
+    hard = tu + tv - (depth if depth is not None else DEFAULT_PRECISION)
+    out = {}
+    for k, a in u.coeffs.items():
+        for l, b in v.coeffs.items():
+            floor = hard if k < 0 else low
+            j, bj, coef = 0, b, 1
+            while not (k >= 0 and j > k) and not (bj.is_zero() and bj.prec is None):
+                g = k + l - j
+                if g <= eff:
+                    break
+                if g <= floor:
+                    eff = max(eff, g)
+                    break
+                term = (a * bj).scale(field.from_int(coef))
+                if not term.is_zero():
+                    out[g] = out[g] + term if g in out else term
+                j += 1
+                coef = coef * (k - j + 1) // j
+                bj = _reference_derive(bj)
+    return PsiDO(field, out, None if eff == low else int(eff))
+
+
+@st.composite
+def operators(draw, field):
+    """Operators with D exponents -3..2 and a finite cut or none; the
+    coefficients are Laurent polynomials in X, exact or truncated."""
+    prec = draw(st.one_of(st.none(), st.integers(1, 5)))
+    coeffs = {}
+    for k in draw(st.lists(st.integers(-3, 2), min_size=1, max_size=3, unique=True)):
+        terms = draw(st.dictionaries(st.integers(-2, 3), elements(field), max_size=3))
+        coeffs[k] = LaurentSeries(field, terms, prec)
+    cut = draw(st.one_of(st.none(), st.integers(-6, min(coeffs) - 1)))
+    return PsiDO(field, coeffs, cut)
+
+
+@settings(max_examples=150, deadline=3000, database=None)
+@given(st.sampled_from([Q, C3, F7]), st.data())
+def test_psido_compose_matches_per_pair_leibniz_loop(field, more):
+    u = more.draw(operators(field))
+    v = more.draw(operators(field))
+    depth = more.draw(st.one_of(st.none(), st.integers(1, 6)))
+    got = psido_compose(u, v, depth)
+    ref = _reference_psido_compose(u, v, depth)
+    assert got == ref
+    assert got.format() == ref.format()
