@@ -126,13 +126,6 @@ class NormalFormInvariants:
         )
 
 
-def _order_bound(field):
-    if field.kind == "cyclotomic":
-        n = field.param
-        return n if n % 2 == 0 else 2 * n
-    return field.default_order_bound()
-
-
 def _elementary_inverse(field, k, b, prec):
     """Compositional inverse of t + b t^k to precision ``prec``, k >= 2.
 
@@ -183,7 +176,7 @@ def normalize(auto, prec=None):
 
     cur = DiskAutomorphism(auto.image.truncate(prec))
     zeta = cur.linear_coeff()
-    n = field.root_of_unity_order(zeta, bound=_order_bound(field))
+    n = field.root_of_unity_order(zeta)
     one = field.one()
     total = DiskAutomorphism.identity(field, prec)
     zero = field.zero()

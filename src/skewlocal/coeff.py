@@ -309,9 +309,6 @@ class Field:
             return all(c == 0 for c in a)
         return a == 0
 
-    def eq(self, a, b):
-        return a == b
-
     def add(self, a, b):
         if self.kind == RATIONAL:
             return a + b
@@ -494,13 +491,13 @@ class Field:
         if self.kind == RATIONAL:
             return 2
         if self.kind == CYCLOTOMIC:
-            return self.param
+            return lcm(2, self.param)
         return self.param - 1
 
     def root_of_unity_order(self, a, bound=None):
         """Least m <= bound with a^m = 1, or None.
 
-        The default bound is 2 over Q, n over Q(zeta_n), p - 1 over F_p.
+        The default bound is 2 over Q, lcm(2, n) over Q(zeta_n), p - 1 over F_p.
         """
         if self.is_zero(a):
             raise ZeroElement("zero is not a root of unity")
@@ -525,15 +522,13 @@ class Field:
                 return Fraction(-1)
             raise UnsupportedField("Q has no root of unity of order %d" % order)
         if self.kind == CYCLOTOMIC:
-            n = self.param
-            bound = n if n % 2 == 0 else 2 * n  # lcm(2, n)
             z = self.zeta()
             for sign in (False, True):
                 cand = self.neg(z) if sign else z
                 cur = self.one()
-                for _ in range(bound):
+                for _ in range(self.default_order_bound()):
                     cur = self.mul(cur, cand)
-                    if self.root_of_unity_order(cur, bound) == order:
+                    if self.root_of_unity_order(cur) == order:
                         return cur
             raise UnsupportedField(
                 "%s has no root of unity of order %d" % (self.name(), order)

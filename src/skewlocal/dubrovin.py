@@ -67,9 +67,9 @@ class Descriptor:
             return (
                 a.prec is None
                 and a.support() == [0]
-                and self.field.eq(a.coeff(0), self.field.one())
+                and a.coeff(0) == self.field.one()
             )
-        return self.field.eq(a, self.field.one())
+        return a == self.field.one()
 
     def format(self, a):
         if self.series:

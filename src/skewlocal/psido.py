@@ -16,7 +16,7 @@ it is truncated at the working depth.
 
 from .coeff import join_terms
 from .errors import FieldMismatch, NotInvertible, PrecisionExhausted
-from .series import DEFAULT_PRECISION, LaurentSeries
+from .series import DEFAULT_PRECISION, LaurentSeries, unit_inverse
 from .skew import SkewSeries, build_from_rule
 
 _NEG_INF = float("-inf")
@@ -230,7 +230,8 @@ def psido_compose(u, v, depth=None):
                 term = a * bj
                 if coef != 1:
                     term = term.scale(field.from_int(coef))
-                if not term.is_zero():
+                # a term zero only to its X-precision still caps that of D^g
+                if not term.is_exact_zero():
                     out[g] = out[g] + term if g in out else term
                 j += 1
                 coef = coef * (k - j + 1) // j
@@ -258,16 +259,14 @@ def psido_invert(u, depth=None):
     work_cut = out_cut + n
     lead_inv = PsiDO(field, {-n: u.coeffs[n].mul_invert()})
     q = psido_compose(lead_inv, u, window).truncate(work_cut)
-    one = PsiDO.one(field)
-    eps = (q - one).truncate(work_cut)
-    geom = one.truncate(work_cut)
-    pw = one.truncate(work_cut)
-    while True:
-        pw = psido_compose(pw, -eps, window).truncate(work_cut)
-        if pw.is_zero():
-            break
-        geom = geom + pw
-    return psido_compose(geom, lead_inv, window).truncate(out_cut)
+
+    def cut(a, b, k):
+        # D^-j has filtration j; the Leibniz tails stop at D^-k
+        p = psido_compose(a, b, a.top + b.top + k).truncate(-k)
+        return p if p.cut > -k else PsiDO(field, p.coeffs)
+
+    x = unit_inverse(q, PsiDO.one(field), -work_cut, cut, PsiDO.order)
+    return psido_compose(x.truncate(work_cut), lead_inv, window).truncate(out_cut)
 
 
 def to_skew(field, depth=None):

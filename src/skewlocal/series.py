@@ -28,6 +28,29 @@ def _unp(prec):
     return None if prec == inf else int(prec)
 
 
+def unit_inverse(q, one, depth, cut, val):
+    """The inverse of a unit q = 1 + (terms of filtration >= 1) below
+    filtration ``depth``, in any complete filtered ring, commutative or not.
+
+    Newton's step x <- x + x (1 - q x) squares the residual, so the
+    filtration to which x is right doubles per step (Kung, Numer. Math. 22,
+    1974), from ``val(1 - q)`` on; a residual zero to its precision costs no
+    product.  ``cut(a, b, k)`` is the ring's product without its terms of
+    filtration >= k; it claims only the precision a and b support, so x can
+    grow past k.  The caller truncates the result at ``depth``.
+    """
+    x, r = one, one - q
+    k = val(r)
+    if k < 1:
+        raise NonConvergent("1 - q must have filtration >= 1, not %s" % k)
+    while True:
+        k = min(2 * k, depth)
+        x = x + (r if r.is_zero() else cut(x, r, k))
+        if k == depth:
+            return x
+        r = one - cut(q, x, min(2 * k, depth))
+
+
 def _series(field, coeffs, prec):
     """A series from coefficients that are already nonzero and below prec."""
     out = LaurentSeries.__new__(LaurentSeries)
@@ -207,17 +230,14 @@ class LaurentSeries:
         else:
             out_prec = target_prec if target_prec is not None else DEFAULT_PRECISION - v
         depth = out_prec + v
+        q = self.shift(-v).scale(linv).truncate(depth)
+
+        def cut(a, b, k):
+            return _series(f, f.convolve(a.coeffs, b.coeffs, k), None)
+
         one = LaurentSeries.const(f, f.one())
-        u = self.shift(-v).scale(linv).truncate(depth)
-        negeps = (one - u).truncate(depth)
-        geom = one.truncate(depth)
-        pw = one.truncate(depth)
-        while True:
-            pw = (pw * negeps).truncate(depth)
-            if pw.is_zero():
-                break
-            geom = geom + pw
-        return geom.scale(linv).shift(-v).truncate(out_prec)
+        x = unit_inverse(q, one, depth, cut, LaurentSeries.valuation)
+        return x.truncate(depth).scale(linv).shift(-v)
 
     def __truediv__(self, other):
         self._check(other)

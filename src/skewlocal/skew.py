@@ -11,7 +11,9 @@ with a t2-grade precision ``gprec`` (grades below it are known).
 """
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, inf
+from operator import add
 
 from . import autonorm
 from .errors import (
@@ -23,7 +25,7 @@ from .errors import (
     ZeroDivisorCandidate,
 )
 from .coeff import join_terms
-from .series import DEFAULT_PRECISION, LaurentSeries, _p, _unp
+from .series import DEFAULT_PRECISION, LaurentSeries, _p, _unp, unit_inverse
 
 
 class SkewSeries:
@@ -91,11 +93,6 @@ class SkewSeries:
         return SkewSeries(
             self.rule, {j: s.scale(c) for j, s in self.terms.items()}, self.gprec
         )
-
-    def scale_series(self, a):
-        """Left multiplication by a grade-zero coefficient series."""
-        out = {j: a * s for j, s in self.terms.items()}
-        return SkewSeries(self.rule, out, self.gprec)
 
     def rshift_t2(self, m):
         """Right multiplication by t2^m (no twisting)."""
@@ -246,9 +243,6 @@ class CommutationRule:
 
     # -- the conjugation engine ---------------------------------------------
 
-    def _rebind(self, el):
-        return SkewSeries(self, el.terms, el.gprec)
-
     def phi_image(self, m, cap):
         """Phi^m(t1) as a skew series, computed to t2-grade cap.
 
@@ -258,9 +252,9 @@ class CommutationRule:
         """
         if m == 0:
             return self.t1()
-        if m < 0:
-            invr = self.inverse_rule(cap)
-            return self._rebind(invr.phi_image(-m, cap))
+        if m == -1:
+            img = self.inverse_rule(cap).phi_image(1, cap)
+            return SkewSeries(self, img.terms, img.gprec)
         need = _p(cap)
         cached = self._phi_cache.get(m)
         if cached is not None:
@@ -271,15 +265,18 @@ class CommutationRule:
         if m == 1:
             img = SkewSeries(self, self.coeffs, self.t2_prec)
         else:
-            img = self._apply_phi(self.phi_image(m - 1, cap), cap)
+            # Phi^-1 is applied in this ring: the inverse rule's own products
+            # would move t2 past coefficients by Phi^-1 instead of Phi
+            step = 1 if m > 0 else -1
+            img = self._apply_phi(self.phi_image(m - step, cap), cap, step)
         stored = need
         if stored == inf and img.gprec is not None:
             stored = img.gprec
         self._phi_cache[m] = (stored, img)
         return img
 
-    def _apply_phi(self, x, cap):
-        """Phi applied to a whole element: sum Phi(x_l) t2^l."""
+    def _apply_phi(self, x, cap, step=1):
+        """Phi^step (step = +-1) applied to an element: sum Phi^step(x_l) t2^l."""
         acc = {}
         capg = _p(cap)
         gp = _p(x.gprec)
@@ -289,7 +286,7 @@ class CommutationRule:
                 # twists have grade valuation >= 0, so this term only feeds
                 # grades at or beyond the output precision
                 continue
-            w = self.twist(x.terms[l], 1, None if b == inf else b - l)
+            w = self.twist(x.terms[l], step, None if b == inf else b - l)
             if w.gprec is not None:
                 gp = min(gp, w.gprec + l)
             for g, sg in w.terms.items():
@@ -336,15 +333,9 @@ class CommutationRule:
             return self.zero(cap)
         if m == 0 or a.is_zero():
             return self.from_series(a)
-        acc = self.zero()
-        for e in sorted(a.coeffs):
-            pw = self._phi_power(m, e, cap)
-            acc = acc + pw.scale(a.coeffs[e])
-        if cap is not None and acc.gprec is not None:
-            acc = acc.truncate(cap)
-        if a.prec is not None:
-            acc = _tail_cap(acc, a.prec, self.phi_image(m, cap))
-        return acc
+        return _evaluate(
+            a, lambda e: self._phi_power(m, e, cap), cap, lambda: self.phi_image(m, cap)
+        )
 
     # -- inverse rule ---------------------------------------------------------
 
@@ -386,6 +377,19 @@ class CommutationRule:
 
     def __repr__(self):
         return "<rule C = %s>" % self.format()
+
+
+def _evaluate(a, power, cap, base):
+    """a(P) = sum a_e P^e for a coefficient series a with at least one term.
+
+    power(e) is P^e to grade cap; base() is P, read only to cap the
+    coefficient precisions when a is truncated."""
+    acc = reduce(add, (power(e).scale(c) for e, c in sorted(a.coeffs.items())))
+    if acc.gprec is not None:
+        acc = acc.truncate(cap)
+    if a.prec is not None:
+        acc = _tail_cap(acc, a.prec, base())
+    return acc
 
 
 def _tail_cap(acc, aprec, base):
@@ -474,16 +478,13 @@ def skew_invert(u, cap=None):
     ainv = av.mul_invert()
     lead_inv = rule.twist(ainv, -v2, depth).rshift_t2(-v2)
     q = skew_mul(lead_inv, u, depth)
-    one = rule.one()
-    eps = (q - one).truncate(depth)
-    geom = one.truncate(depth)
-    pw = one.truncate(depth)
-    while True:
-        pw = skew_mul(pw, -eps, depth).truncate(depth)
-        if pw.is_zero():
-            break
-        geom = geom + pw
-    return skew_mul(geom, lead_inv, out_g).truncate(out_g)
+
+    def cut(a, b, k):
+        p = skew_mul(a, b, k)
+        return p if p.gprec < k else SkewSeries(rule, p.terms)
+
+    x = unit_inverse(q, rule.one(), depth, cut, SkewSeries.valuation)
+    return skew_mul(x.truncate(depth), lead_inv, out_g).truncate(out_g)
 
 
 def conj_by_t2(a, rule, power=1, cap=None):
@@ -587,14 +588,7 @@ def _subst_element(rule, a, S, cap, pow_cache):
         pow_cache[e] = out
         return out
 
-    acc = rule.zero()
-    for e in sorted(a.coeffs):
-        acc = acc + power(e).scale(a.coeffs[e])
-    if acc.gprec is not None:
-        acc = acc.truncate(cap)
-    if a.prec is not None:
-        acc = _tail_cap(acc, a.prec, S)
-    return acc
+    return _evaluate(a, power, cap, lambda: S)
 
 
 def change_t2(rule, w_el, cap=None):
@@ -651,9 +645,7 @@ def change_t2(rule, w_el, cap=None):
 
 
 def _detect_order(rule):
-    n = rule.field.root_of_unity_order(
-        rule.zeta, bound=autonorm._order_bound(rule.field)
-    )
+    n = rule.field.root_of_unity_order(rule.zeta)
     if n is None:
         raise NotSolvable(
             "the linear coefficient of c_0 is not a root of unity; the residue "

@@ -77,9 +77,9 @@ def test_root_of_unity_order():
     F3 = Field.cyclotomic(3)
     z = F3.zeta()
     assert F3.root_of_unity_order(z) == 3
-    # -zeta_3 has order 6, above the default bound n = 3
-    assert F3.root_of_unity_order(F3.neg(z)) is None
-    assert F3.root_of_unity_order(F3.neg(z), bound=6) == 6
+    # -zeta_3 has order 6 = lcm(2, 3), the default bound
+    assert F3.root_of_unity_order(F3.neg(z)) == 6
+    assert F3.root_of_unity_order(F3.neg(z), bound=5) is None
 
     F13 = Field.prime_field(13)
     assert F13.root_of_unity_order(F13.from_int(12)) == 2

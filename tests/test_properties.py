@@ -1,6 +1,7 @@
 """Property tests for composition, the closed-form elementary inverse, the
 normal form reduction, the windowed skew solvers, the integer series
-product and the operator product, checked against independent references."""
+product, the operator product and the shared Newton inverse, checked against
+independent references, and for negative twists against the ring axioms."""
 
 from fractions import Fraction
 from math import inf
@@ -17,7 +18,7 @@ from skewlocal.autonorm import (
 )
 from skewlocal.coeff import Field
 from skewlocal.errors import NotSolvable, SkewFieldError
-from skewlocal.psido import PsiDO, psido_compose
+from skewlocal.psido import PsiDO, psido_compose, psido_invert
 from skewlocal.series import DEFAULT_PRECISION, LaurentSeries
 from skewlocal.skew import (
     CommutationRule,
@@ -496,7 +497,8 @@ def _reference_derive(b):
 
 def _reference_psido_compose(u, v, depth=None):
     """u v with one Leibniz chain per term pair: every derivative rebuilt and
-    every term scaled by its binomial coefficient, 1 included."""
+    every term scaled by its binomial coefficient, 1 included.  A term that
+    is zero only to its X-precision is kept, since it bounds that precision."""
     field = u.field
     if (not u.coeffs and u.cut is None) or (not v.coeffs and v.cut is None):
         return PsiDO(field, None, None)
@@ -522,7 +524,7 @@ def _reference_psido_compose(u, v, depth=None):
                     eff = max(eff, g)
                     break
                 term = (a * bj).scale(field.from_int(coef))
-                if not term.is_zero():
+                if not term.is_exact_zero():
                     out[g] = out[g] + term if g in out else term
                 j += 1
                 coef = coef * (k - j + 1) // j
@@ -553,3 +555,210 @@ def test_psido_compose_matches_per_pair_leibniz_loop(field, more):
     ref = _reference_psido_compose(u, v, depth)
     assert got == ref
     assert got.format() == ref.format()
+
+
+# -- the shared Newton inverse against the geometric loops it replaced -------
+
+
+def _geometric_mul_invert(s, target_prec=None):
+    """LaurentSeries.mul_invert as a sum of powers of 1 - u, one product each."""
+    f = s.field
+    v, lead = s.leading()
+    linv = f.inv(lead)
+    if len(s.coeffs) == 1 and s.prec is None:
+        out = LaurentSeries.monomial(f, -v, linv)
+        return out.truncate(target_prec) if target_prec is not None else out
+    if s.prec is not None:
+        out_prec = s.prec - 2 * v
+        if target_prec is not None:
+            out_prec = min(out_prec, target_prec)
+    else:
+        out_prec = target_prec if target_prec is not None else DEFAULT_PRECISION - v
+    depth = out_prec + v
+    one = LaurentSeries.const(f, f.one())
+    u = s.shift(-v).scale(linv).truncate(depth)
+    negeps = (one - u).truncate(depth)
+    geom = one.truncate(depth)
+    pw = one.truncate(depth)
+    while True:
+        pw = (pw * negeps).truncate(depth)
+        if pw.is_zero():
+            break
+        geom = geom + pw
+    return geom.scale(linv).shift(-v).truncate(out_prec)
+
+
+def _geometric_skew_invert(u, cap=None):
+    """skew_invert as a sum of powers of 1 - q, one skew product each."""
+    rule = u.rule
+    v2 = u.valuation()
+    av = u.terms[v2]
+    if cap is None and u.gprec is None and len(u.terms) == 1:
+        return rule.twist(_geometric_mul_invert(av), -v2, None).rshift_t2(-v2)
+    if u.gprec is not None:
+        out_g = u.gprec - 2 * v2
+        if cap is not None:
+            out_g = min(out_g, cap)
+    else:
+        out_g = cap if cap is not None else DEFAULT_PRECISION - v2
+    depth = out_g + v2
+    lead_inv = rule.twist(_geometric_mul_invert(av), -v2, depth).rshift_t2(-v2)
+    q = skew_mul(lead_inv, u, depth)
+    one = rule.one()
+    eps = (q - one).truncate(depth)
+    geom = one.truncate(depth)
+    pw = one.truncate(depth)
+    while True:
+        pw = skew_mul(pw, -eps, depth).truncate(depth)
+        if pw.is_zero():
+            break
+        geom = geom + pw
+    return skew_mul(geom, lead_inv, out_g).truncate(out_g)
+
+
+def _geometric_psido_invert(u, depth=None):
+    """psido_invert as a sum of powers of 1 - q, one operator product each."""
+    field = u.field
+    n = u.top
+    if depth is None and u.cut is None and len(u.coeffs) == 1:
+        rest = PsiDO.from_series(field, _geometric_mul_invert(u.coeffs[n]))
+        return psido_compose(PsiDO.d(field, -n), rest)
+    window = depth if depth is not None else DEFAULT_PRECISION
+    if u.cut is not None:
+        out_cut = u.cut - 2 * n
+        if depth is not None:
+            out_cut = max(out_cut, -n - window)
+    else:
+        out_cut = -n - window
+    work_cut = out_cut + n
+    lead_inv = PsiDO(field, {-n: _geometric_mul_invert(u.coeffs[n])})
+    q = psido_compose(lead_inv, u, window).truncate(work_cut)
+    one = PsiDO.one(field)
+    eps = (q - one).truncate(work_cut)
+    geom = one.truncate(work_cut)
+    pw = one.truncate(work_cut)
+    while True:
+        pw = psido_compose(pw, -eps, window).truncate(work_cut)
+        if pw.is_zero():
+            break
+        geom = geom + pw
+    return psido_compose(geom, lead_inv, window).truncate(out_cut)
+
+
+def _assert_same_inverse(got, ref, exact, outer):
+    """Exact inputs give equal results; truncated ones the same outer
+    precision and equal coefficients wherever both are known."""
+    if exact:
+        assert got == ref
+        assert got.format() == ref.format()
+    else:
+        assert outer(got) == outer(ref)
+        assert got.agrees(ref)
+
+
+@st.composite
+def leading_series(draw, field, v, exact):
+    """A series with a nonzero t^v term and up to three terms above it,
+    exact or known to some precision above v."""
+    prec = None if exact else draw(st.integers(v + 1, v + 8))
+    coeffs = {v: draw(elements(field, nonzero=True))}
+    coeffs.update(draw(st.dictionaries(st.integers(v + 1, v + 6), elements(field), max_size=3)))
+    return LaurentSeries(field, coeffs, prec)
+
+
+@settings(max_examples=200, deadline=3000, database=None)
+@given(st.sampled_from([Q, C3, F7]), st.integers(-2, 3), st.booleans(), st.data())
+def test_mul_invert_matches_geometric_loop(field, v, exact, more):
+    s = more.draw(leading_series(field, v, exact))
+    target = more.draw(st.one_of(st.none(), st.integers(-3, 10)))
+    _assert_same_inverse(
+        s.mul_invert(target), _geometric_mul_invert(s, target), exact, lambda x: x.prec
+    )
+
+
+@settings(max_examples=120, deadline=10000, database=None)
+@given(rule_data(t2_prec=False), st.integers(-2, 3), st.data())
+def test_skew_invert_matches_geometric_loop(data, v2, more):
+    """Rules known only to a low t2-grade make the products lose precision
+    of their own, which both loops must report alike."""
+    field, coeffs, t1_prec, _ = data
+    data = field, coeffs, t1_prec, more.draw(st.one_of(st.none(), st.integers(1, 6)))
+    exact = t1_prec is None and more.draw(st.booleans())
+    gprec = None if exact else more.draw(st.one_of(st.none(), st.integers(v2 + 1, v2 + 6)))
+    cap = more.draw(st.integers(1, 6) if gprec is None else st.one_of(st.none(), st.integers(1, 6)))
+    prec = None if exact else more.draw(st.one_of(st.none(), st.integers(4, 8)))
+    terms = {v2: more.draw(leading_series(field, more.draw(st.integers(-2, 3)), exact))}
+    for j in more.draw(st.lists(st.integers(v2 + 1, v2 + 3), max_size=2, unique=True)):
+        terms[j] = LaurentSeries(field, more.draw(series_data(field, -1, 3, prec)), prec)
+
+    def run(fn):
+        rule = _rule(data)
+        return _outcome(fn, rule.element(terms, gprec), cap)
+
+    got, ref = run(skew_invert), run(_geometric_skew_invert)
+    if isinstance(ref, type):
+        assert got == ref
+        return
+    _assert_same_inverse(got, ref, exact and gprec is None, lambda x: x.gprec)
+
+
+def test_skew_invert_keeps_the_precision_of_a_zero_residual():
+    """Over a rule known only below t2^2, the residual 1 - q x is zero to a
+    precision its products lost; the inverse keeps that precision."""
+    S = LaurentSeries.make
+    rule = CommutationRule(Q, {0: S(Q, {1: 1, 2: Fraction(1, 4)}, 7)}, 2)
+    u = rule.element({0: S(Q, {0: 3}, 6), 1: S(Q, {-1: Fraction(-2, 3)}), 2: S(Q, {2: -2}, 6)}, 6)
+    got, ref = skew_invert(u), _geometric_skew_invert(u)
+    assert got.gprec == ref.gprec == 4
+    assert got.agrees(ref)
+
+
+@settings(max_examples=200, deadline=5000, database=None)
+@given(st.sampled_from([Q, C3, F7]), st.integers(-2, 3), st.data())
+def test_psido_invert_matches_geometric_loop(field, n, more):
+    exact = more.draw(st.booleans())
+    prec = None if exact else more.draw(st.one_of(st.none(), st.integers(1, 5)))
+    coeffs = {n: more.draw(leading_series(field, more.draw(st.integers(-2, 3)), exact))}
+    for k in more.draw(st.lists(st.integers(n - 3, n - 1), max_size=2, unique=True)):
+        coeffs[k] = LaurentSeries(field, more.draw(series_data(field, -2, 3, prec)), prec)
+    cut = None if exact else more.draw(st.one_of(st.none(), st.integers(n - 6, n - 1)))
+    depth = more.draw(
+        st.integers(1, 6) if cut is None else st.one_of(st.none(), st.integers(1, 6))
+    )
+    u = PsiDO(field, coeffs, cut)
+    _assert_same_inverse(
+        psido_invert(u, depth), _geometric_psido_invert(u, depth), exact, lambda x: x.cut
+    )
+
+
+# -- negative twists against the ring axioms ---------------------------------
+
+
+@st.composite
+def skew_elements(draw, rule, lo, hi):
+    field = rule.field
+    terms = {}
+    for j in draw(st.lists(st.integers(lo, hi), min_size=1, max_size=2, unique=True)):
+        terms[j] = LaurentSeries(field, draw(series_data(field, 0, 2, None)))
+    return rule.element(terms)
+
+
+@settings(max_examples=40, deadline=20000, database=None)
+@given(rule_data(t2_prec=False, exact=True), st.data())
+def test_negative_twists_keep_the_ring_axioms(data, more):
+    """Phi^m for m <= -2 is Phi^-1 applied m times in this ring: products of
+    elements with grades -3..3 associate, and u u^-1 = u^-1 u = 1 for
+    t2-valuations 0..3."""
+    rule = _rule(data)
+    cap = 5
+    a, b, c = (more.draw(skew_elements(rule, -3, 3)) for _ in range(3))
+    left = skew_mul(skew_mul(a, b, cap), c, cap)
+    right = skew_mul(a, skew_mul(b, c, cap), cap)
+    assert left.agrees(right, cap)
+    v2 = more.draw(st.integers(0, 3))
+    u = more.draw(skew_elements(rule, v2, v2 + 2))
+    if v2 not in u.terms:
+        u = u + rule.t2(v2)
+    ui = skew_invert(u, cap)
+    assert skew_mul(u, ui, cap).agrees(rule.one(), cap)
+    assert skew_mul(ui, u, cap).agrees(rule.one(), cap)

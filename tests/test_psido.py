@@ -107,6 +107,18 @@ def test_invert_round_trip():
     assert (inv * u).agrees(PsiDO.one(Q))
 
 
+def test_invert_truncated_leading_coefficient_round_trip():
+    """A Leibniz term that is zero only to its X-precision still bounds the
+    precision of its coefficient, so no product claims terms it lacks."""
+    one = PsiDO.one(Q)
+    u = PsiDO(Q, {1: S({0: 1, 1: 1}, 3)})
+    inv = psido_invert(u, depth=6)
+    assert (u * inv).agrees(one) and (inv * u).agrees(one)
+    u = PsiDO(Q, {2: S({0: -2, 1: Fraction(-4, 3)}, 4), 0: S({2: Fraction(-2, 3)}), -1: S({1: -1})})
+    inv = psido_invert(u, depth=8)
+    assert (u * inv).agrees(one) and (inv * u).agrees(one)
+
+
 def test_invert_rejects_zero():
     with pytest.raises(NotInvertible):
         psido_invert(PsiDO.zero(Q))
