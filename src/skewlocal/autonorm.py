@@ -10,6 +10,13 @@ where zeta is the linear coefficient, i is the contact order of the first
 iterate of finite order (i = 1 with x = y = 0 when zeta is not a root of
 unity, i = +infinity with x = y = 0 when some iterate is the identity to
 working precision), and x is well defined up to (i - 1)-th powers.
+
+``normalize`` gets there by conjugating with elementary maps f = t + b t^k,
+each step in closed form: a(f) by the binomial expansion of
+(t + b t^k)^e (``_elementary_compose``), f^-1 by its Fuss-Catalan series
+(``_elementary_inverse``), evaluated at a(f) by Horner's rule in
+a(f)^(k - 1) (``_conj_step``).  The generic ``compose``, ``comp_invert``,
+``auto_compose`` and ``conjugate`` serve every other inner series.
 """
 
 from math import comb, inf
@@ -21,7 +28,7 @@ from .errors import (
     PrecisionExhausted,
     UnsupportedField,
 )
-from .series import DEFAULT_PRECISION, LaurentSeries
+from .series import DEFAULT_PRECISION, LaurentSeries, _p, _unp
 
 
 class DiskAutomorphism:
@@ -144,14 +151,59 @@ def _elementary_inverse(field, k, b, prec):
     return LaurentSeries(field, coeffs, prec)
 
 
+def _elementary_compose(g, k, b, prec):
+    """g(t + b t^k) to precision ``prec``, for g of valuation 1 and k >= 2.
+
+    By the binomial theorem (t + b t^k)^e = sum_j C(e, j) b^j t^(e + j(k - 1)),
+    so g(t + b t^k) = sum_j b^j t^(j(k - 1)) sum_(e >= j) C(e, j) g_e t^e:
+    integer-weighted, shifted copies of g and no series product (Brent and
+    Kung, J. ACM 25, 1978).  This is the series
+    ``g.compose(LaurentSeries(field, {1: 1, k: b}, prec))`` returns,
+    coefficients and precision.
+    """
+    field = g.field
+    top = min(_p(g.prec), _p(prec))
+    terms = [(e, c) for e, c in sorted(g.coeffs.items()) if e < top]
+    out = dict(terms)
+    bj = field.one()
+    j = 1
+    while True:
+        # e >= j and e + j(k - 1) < top: both tighten as j grows
+        shift = j * (k - 1)
+        terms = [(e, c) for e, c in terms if e >= j and e + shift < top]
+        if not terms:
+            return LaurentSeries(field, out, _unp(top))
+        bj = field.mul(bj, b)
+        level = {e + shift: field.mul_int(c, comb(e, j)) for e, c in terms}
+        for e, c in field.convolve({0: bj}, level).items():
+            out[e] = field.add(out[e], c) if e in out else c
+        j += 1
+
+
 def _conj_step(field, cur, k, b, prec):
     """Conjugate ``cur`` (at precision ``prec``) by f = t + b t^k.
 
-    Returns (f^-1 o cur o f, f).
+    Returns (f^-1 o cur o f, f).  g = cur o f is the binomial expansion of
+    ``_elementary_compose``.  f^-1 is t phi(t^(k - 1)), phi the Fuss-Catalan
+    polynomial of ``_elementary_inverse``, so f^-1(g) = g phi(h) with
+    h = g^(k - 1), evaluated by Horner's rule.  The partial sum that h^m
+    multiplies is needed only below t^(p - 1 - m(k - 1)), p the precision of
+    g, so each Horner product is cut there.
     """
     f = DiskAutomorphism(LaurentSeries(field, {1: field.one(), k: b}, prec))
-    finv = _elementary_inverse(field, k, b, prec)
-    return DiskAutomorphism(finv.compose(cur.image.compose(f.image))), f
+    g = _elementary_compose(cur.image, k, b, prec)
+    p = g.prec
+    phi = _elementary_inverse(field, k, b, p).coeffs
+    h = g.truncate(p - 1)
+    for _ in range(k - 2):
+        h = (h * g).truncate(p - 1)
+    zero = field.zero()
+    acc = LaurentSeries.zero(field)
+    for m in range((p - 2) // (k - 1), -1, -1):
+        cut = p - 1 - m * (k - 1)
+        acc = (h.truncate(cut) * acc).truncate(cut)
+        acc = acc + LaurentSeries.const(field, phi.get(1 + m * (k - 1), zero))
+    return DiskAutomorphism(LaurentSeries(field, (g * acc).coeffs, p)), f
 
 
 def normalize(auto, prec=None):
@@ -163,6 +215,11 @@ def normalize(auto, prec=None):
     step conjugates by some t + b t^k with b solved from a closed-form
     slope: zeta - zeta^k in pass one, (i_alpha - k) x in pass two.  Each
     elementary conjugation is verified exactly.
+
+    A step is ``_conj_step``: the binomial expansion a(f) of
+    ``_elementary_compose``, then the Fuss-Catalan series of f^-1 evaluated
+    at it by Horner's rule.  The conjugator is kept as the running composite
+    total o f, again by ``_elementary_compose``.
     """
     field = auto.field
     if field.char() != 0:
@@ -189,8 +246,8 @@ def normalize(auto, prec=None):
             return
         slope = field.sub(zeta, field.pow(zeta, k))
         b = field.neg(field.div(a_k, slope))
-        cur, f = _conj_step(field, cur, k, b, prec)
-        total = auto_compose(total, f)
+        cur, _ = _conj_step(field, cur, k, b, prec)
+        total = DiskAutomorphism(_elementary_compose(total.image, k, b, prec))
         if not field.is_zero(cur.image.coeffs.get(k, zero)):
             raise NotSolvable("elementary conjugation failed to clear t^%d" % k)
 
@@ -241,8 +298,8 @@ def normalize(auto, prec=None):
         k = m - i_alpha + 1
         slope = field.mul(field.from_int(i_alpha - k), x)
         b = field.neg(field.div(a_m, slope))
-        cur, f = _conj_step(field, cur, k, b, prec)
-        total = auto_compose(total, f)
+        cur, _ = _conj_step(field, cur, k, b, prec)
+        total = DiskAutomorphism(_elementary_compose(total.image, k, b, prec))
         if not field.is_zero(cur.image.coeffs.get(m, zero)):
             raise NotSolvable("affine solve failed to clear t^%d" % m)
 

@@ -210,7 +210,7 @@ def _cmd_psido(args, report):
     depth, source = _resolve_default_prec(args.depth, "--depth")
     value = parse_psido(args.expr, field, depth)
     report.entry("value", value.format())
-    report.entry("order", _fmt(field, -value.top if value.coeffs else INF))
+    report.entry("order", _fmt(field, value.order()))
     if args.to_skew:
         rule = to_skew(field, depth)
         report.entry("sign", "t2 = -D^-1")

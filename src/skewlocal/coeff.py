@@ -14,6 +14,7 @@ from math import gcd, lcm
 
 from .errors import (
     DivisionByZero,
+    NotSolvable,
     ParseError,
     UnsupportedField,
     ZeroElement,
@@ -53,6 +54,37 @@ def _prime_factors(m):
     if m > 1:
         out.append(m)
     return out
+
+
+def _prime_root(a, q, p):
+    """A q-th root of a in F_p, for a prime q dividing p - 1 and a q-th power
+    residue a: Tonelli-Shanks in the Sylow q-subgroup (Adleman, Manders and
+    Miller, FOCS 1977).
+
+    With p - 1 = q^t r and q not dividing r, x = a^(q^-1 mod r) has
+    x^q = a e, e in the Sylow q-subgroup.  That subgroup is cyclic,
+    generated by z = n^r for any q-th non-residue n, and x is corrected by
+    the power y of z with y^q = e^-1, read off q-adic digit by digit.
+    """
+    m = p - 1
+    t, r = 0, m
+    while r % q == 0:
+        t, r = t + 1, r // q
+    x = pow(a, pow(q, -1, r), p)
+    # a q-th non-residue: (q - 1) / q of all units are one
+    n = 2
+    while pow(n, m // q, p) == 1:
+        n += 1
+    z = pow(n, r, p)
+    w = pow(z, q ** (t - 1), p)
+    digit = {pow(w, j, p): j for j in range(q)}
+    target = pow(pow(x, q, p) * pow(a, -1, p) % p, -1, p)
+    log = 0
+    for i in range(t):
+        h = pow(target * pow(z, -log, p) % p, q ** (t - 1 - i), p)
+        log += digit[h] * q ** i
+    # target has order dividing q^(t - 1), so q divides its logarithm
+    return x * pow(z, log // q, p) % p
 
 
 def _poly_trim(a):
@@ -574,13 +606,23 @@ class Field:
                 w = -w
             return True, w
         p = self.param
-        g = gcd(d, p - 1)
-        if pow(a, (p - 1) // g, p) != 1:
+        m = p - 1
+        g = gcd(d, m)
+        if pow(a, m // g, p) != 1:
             return False, None
-        for b in range(1, p):
-            if pow(b, d, p) == a:
-                return True, b
-        return False, None
+        # x -> x^d and x -> x^g have the same image.  A g-th root c, taken
+        # one prime factor of g at a time, gives the d-th root c^e with
+        # e (d / g) = 1 mod m / g, since gcd(d / g, m / g) = 1 and a^(m / g) = 1
+        c = a
+        for q in _prime_factors(g):
+            k = g
+            while k % q == 0:
+                c = _prime_root(c, q, p)
+                k //= q
+        b = pow(c, pow(d // g, -1, m // g), p)
+        if pow(b, d, p) != a:
+            raise NotSolvable("F%d: %d is not a %d-th root of %d" % (p, b, d, a))
+        return True, b
 
     # -- formatting --------------------------------------------------------
 

@@ -4,7 +4,9 @@ An operator is a finite sum sum_{k <= top} a_k(X) D^k stored as a sparse
 dictionary exponent -> Laurent series in X.  The completion is D^-1-adic:
 ``cut`` marks the exponent at and below which coefficients are unknown
 (None means the operator is exact), and ``depth`` reads the same bound
-relative to the leading exponent.
+relative to the leading exponent.  A coefficient that is zero only to its
+X-precision, O(X^k), stays in the dictionary: it is known to be 0 below X^k
+and unknown from there on, unlike an absent, exactly zero coefficient.
 
 Composing past a negative power of D uses the generalized Leibniz rule
 
@@ -46,7 +48,7 @@ class PsiDO:
                     raise FieldMismatch("coefficient over the wrong field")
                 if cut is not None and k <= cut:
                     continue
-                if not s.is_zero():
+                if not s.is_exact_zero():
                     out[k] = s
         self.coeffs = out
 
@@ -76,20 +78,21 @@ class PsiDO:
 
     @property
     def top(self):
-        return max(self.coeffs) if self.coeffs else None
+        """The leading exponent: the largest with a nonzero coefficient."""
+        nonzero = [k for k, s in self.coeffs.items() if not s.is_zero()]
+        return max(nonzero) if nonzero else None
 
     @property
     def depth(self):
         if self.cut is None:
             return None
-        lead = self.top if self.coeffs else self.cut
-        return lead - self.cut
+        top = self.top
+        return (self.cut if top is None else top) - self.cut
 
     def order(self):
         """t2-style valuation with t2 = D^-1: minus the leading exponent."""
-        if not self.coeffs:
-            return float("inf")
-        return -self.top
+        top = self.top
+        return float("inf") if top is None else -top
 
     def coeff(self, k):
         if self.cut is not None and k <= self.cut:
@@ -102,7 +105,8 @@ class PsiDO:
         return sorted(self.coeffs)
 
     def is_zero(self):
-        return not self.coeffs
+        """Zero to the known precision: no coefficient has a nonzero term."""
+        return self.top is None
 
     def _check(self, other):
         if self.field != other.field:
@@ -238,12 +242,29 @@ def psido_compose(u, v, depth=None):
     return PsiDO(field, out, _uc(eff))
 
 
+def _filtration(p):
+    """The D^-1-adic filtration of every kept entry of p: a residual entry
+    O(X^k) D^-j is zero only to its X-precision, and its products still
+    reach D^-2j and below."""
+    return -max(p.coeffs) if p.coeffs else float("inf")
+
+
 def psido_invert(u, depth=None):
-    """Two-sided inverse; the leading coefficient must be nonzero."""
+    """Two-sided inverse; the leading coefficient must be nonzero.
+
+    A coefficient above the leading term that is zero only to its
+    X-precision may be the true leading term, so such an operator raises
+    PrecisionExhausted.
+    """
     if u.is_zero():
         raise NotInvertible("cannot invert an operator that is zero to depth")
     field = u.field
     n = u.top
+    if max(u.coeffs) > n:
+        raise PrecisionExhausted(
+            "the coefficient of D^%d is zero only to its X-precision, so the "
+            "leading term is unknown" % max(u.coeffs)
+        )
     if depth is None and u.cut is None and len(u.coeffs) == 1:
         # a single exact term a*D^n inverts as D^-n a^-1, which stays exact
         # whenever the Leibniz tail terminates
@@ -259,13 +280,20 @@ def psido_invert(u, depth=None):
     work_cut = out_cut + n
     lead_inv = PsiDO(field, {-n: u.coeffs[n].mul_invert()})
     q = psido_compose(lead_inv, u, window).truncate(work_cut)
+    # the D^0 coefficient of q is a^-1 a, exactly 1 for every completion of
+    # the leading coefficient a; only the X-precision of a^-1 hides that
+    coeffs = dict(q.coeffs)
+    coeffs[0] = LaurentSeries.const(field, field.one())
+    q = PsiDO(field, coeffs, q.cut)
 
     def cut(a, b, k):
-        # D^-j has filtration j; the Leibniz tails stop at D^-k
-        p = psido_compose(a, b, a.top + b.top + k).truncate(-k)
+        # D^-j has filtration j; the Leibniz tails stop at D^-k.  The
+        # working depth counts from the largest kept exponents, and a
+        # residual keeps zero-to-precision entries above its leading term
+        p = psido_compose(a, b, max(a.coeffs) + max(b.coeffs) + k).truncate(-k)
         return p if p.cut > -k else PsiDO(field, p.coeffs)
 
-    x = unit_inverse(q, PsiDO.one(field), -work_cut, cut, PsiDO.order)
+    x = unit_inverse(q, PsiDO.one(field), -work_cut, cut, _filtration)
     return psido_compose(x.truncate(work_cut), lead_inv, window).truncate(out_cut)
 
 

@@ -34,10 +34,11 @@ def unit_inverse(q, one, depth, cut, val):
 
     Newton's step x <- x + x (1 - q x) squares the residual, so the
     filtration to which x is right doubles per step (Kung, Numer. Math. 22,
-    1974), from ``val(1 - q)`` on; a residual zero to its precision costs no
-    product.  ``cut(a, b, k)`` is the ring's product without its terms of
-    filtration >= k; it claims only the precision a and b support, so x can
-    grow past k.  The caller truncates the result at ``depth``.
+    1974), from ``val(1 - q)`` on; a residual of filtration +inf (zero to
+    its precision) costs no product.  ``cut(a, b, k)`` is the ring's product
+    without its terms of filtration >= k; it claims only the precision a and
+    b support, so x can grow past k.  The caller truncates the result at
+    ``depth``.
     """
     x, r = one, one - q
     k = val(r)
@@ -45,7 +46,7 @@ def unit_inverse(q, one, depth, cut, val):
         raise NonConvergent("1 - q must have filtration >= 1, not %s" % k)
     while True:
         k = min(2 * k, depth)
-        x = x + (r if r.is_zero() else cut(x, r, k))
+        x = x + (r if val(r) == inf else cut(x, r, k))
         if k == depth:
             return x
         r = one - cut(q, x, min(2 * k, depth))

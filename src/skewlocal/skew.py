@@ -488,7 +488,11 @@ def skew_invert(u, cap=None):
 
 
 def conj_by_t2(a, rule, power=1, cap=None):
-    """t2^power * a * t2^-power for a coefficient series a."""
+    """t2^power * a * t2^-power for a coefficient series a.
+
+    The exported name for ``rule.twist(a, power, cap)``, kept so that the
+    public API does not change.
+    """
     return rule.twist(a, power, cap)
 
 

@@ -1,4 +1,5 @@
 import io
+import os
 import re
 import subprocess
 import sys
@@ -69,6 +70,12 @@ def test_psido_basic(capsys):
     assert status == 0
     assert "value = X*D + 1" in out.splitlines()
     assert "order = -1" in out.splitlines()
+
+
+def test_psido_order_skips_entries_zero_to_x_precision(capsys):
+    status, out, err = run(capsys, "psido", "--expr", "(1+X)^-1*D - (1+X)^-1*D", "--depth", "4")
+    assert status == 0
+    assert out.splitlines()[:2] == ["value = O(X^24)*D + O(D^-3)", "order = infinity"]
 
 
 def test_psido_to_skew_documents_sign(capsys):
@@ -191,10 +198,14 @@ def test_flag_beats_env_var(capsys, monkeypatch):
 
 
 def test_console_entry_point():
+    # the child process runs the package this suite imports, installed or not
+    src = str(Path(skewlocal.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     proc = subprocess.run(
         [sys.executable, "-m", "skewlocal", "dubrovin", "--expr", "y*x"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
     )
     assert proc.returncode == 0
     assert proc.stdout == "x*y - z\nw = 0\n"

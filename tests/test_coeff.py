@@ -1,4 +1,7 @@
+import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -159,6 +162,42 @@ def test_is_dth_power_prime():
     assert not ok
     ok, w = F5.is_dth_power(F5.from_int(1), 4)
     assert ok and pow(w, 4, 5) == 1
+
+
+def test_is_dth_power_prime_exhaustive():
+    """Every a and d <= 12 over primes whose p - 1 has repeated factors:
+    2^2 3, 2^2 3^2, 2^5 3 and 2^8."""
+    for p in (13, 37, 97, 257):
+        F = Field.prime_field(p)
+        for d in range(1, 13):
+            powers = {pow(b, d, p) for b in range(p)}
+            for a in range(p):
+                ok, w = F.is_dth_power(a, d)
+                assert ok == (a in powers)
+                assert w is None if not ok else pow(w, d, p) == a
+
+
+@pytest.mark.parametrize("p", [100000007, 998244353, 1000000000039])
+def test_is_dth_power_large_prime_is_bounded(p):
+    """Residues and non-residues against Euler's criterion: a is a d-th
+    power in F_p exactly when a^((p - 1) / gcd(d, p - 1)) = 1.  The witness
+    search once looped over all of F_p.  998244353 - 1 = 119 * 2^23 takes
+    Tonelli-Shanks through 23 binary digits."""
+    rng = random.Random(p)
+    start = time.perf_counter()
+    F = Field.prime_field(p)
+    for d in (2, 3, 4, 6):
+        g = gcd(d, p - 1)
+        seen = set()
+        for a in [pow(rng.randrange(1, p), d, p) for _ in range(20)] + [
+            rng.randrange(1, p) for _ in range(20)
+        ]:
+            ok, w = F.is_dth_power(a, d)
+            assert ok == (pow(a, (p - 1) // g, p) == 1)
+            assert w is None if not ok else pow(w, d, p) == a
+            seen.add(ok)
+        assert seen == ({True, False} if g > 1 else {True})
+    assert time.perf_counter() - start < 5.0
 
 
 def test_is_dth_power_cyclotomic_unsupported():

@@ -1,7 +1,9 @@
-"""Property tests for composition, the closed-form elementary inverse, the
-normal form reduction, the windowed skew solvers, the integer series
-product, the operator product and the shared Newton inverse, checked against
-independent references, and for negative twists against the ring axioms."""
+"""Property tests for composition, the closed-form elementary inverse and
+composition, the normal form reduction, the windowed skew solvers, the
+integer series product, the operator product and the shared Newton inverse,
+checked against independent references; for operator products and inverses
+against completions of their truncated tails; and for negative twists
+against the ring axioms."""
 
 from fractions import Fraction
 from math import inf
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from skewlocal.autonorm import (
     DiskAutomorphism,
     _conj_step,
+    _elementary_compose,
     _elementary_inverse,
     conjugate,
     normalize,
@@ -31,6 +34,7 @@ from skewlocal.skew import (
 
 Q = Field.rationals()
 C3 = Field.cyclotomic(3)
+C5 = Field.cyclotomic(5)
 F7 = Field.prime_field(7)
 
 fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
@@ -133,6 +137,20 @@ def test_elementary_inverse_matches_comp_invert(data):
     field, k, b, prec = data
     f = LaurentSeries(field, {1: field.one(), k: b}, prec)
     assert _elementary_inverse(field, k, b, prec) == f.comp_invert()
+
+
+@settings(max_examples=150, deadline=2000, database=None)
+@given(st.sampled_from([Q, C3, C5, F7]), st.integers(2, 6), st.data())
+def test_elementary_compose_matches_compose(field, k, more):
+    b = more.draw(elements(field, nonzero=True))
+    prec = more.draw(st.integers(2, 14))
+    g = {1: more.draw(elements(field, nonzero=True))}
+    g.update(more.draw(st.dictionaries(st.integers(2, 16), elements(field), max_size=5)))
+    # g exact, or known below, at or above prec
+    gprec = more.draw(st.one_of(st.none(), st.integers(2, prec + 4)))
+    g = LaurentSeries(field, g, gprec)
+    f = LaurentSeries(field, {1: field.one(), k: b}, prec)
+    assert _elementary_compose(g, k, b, prec) == g.compose(f)
 
 
 @settings(max_examples=30, deadline=2000, database=None)
@@ -729,6 +747,58 @@ def test_psido_invert_matches_geometric_loop(field, n, more):
     _assert_same_inverse(
         psido_invert(u, depth), _geometric_psido_invert(u, depth), exact, lambda x: x.cut
     )
+
+
+# -- operators against completions of their X-tails --------------------------
+
+
+def _complete(draw, u):
+    """u with every coefficient known below X^p made exact, with random
+    terms at X^p .. X^(p + 3): one operator the truncated u stands for."""
+    field = u.field
+    coeffs = {}
+    for k, s in u.coeffs.items():
+        c = dict(s.coeffs)
+        if s.prec is not None:
+            c.update(draw(st.dictionaries(st.integers(s.prec, s.prec + 3), elements(field))))
+        coeffs[k] = LaurentSeries(field, c)
+    return PsiDO(field, coeffs, u.cut)
+
+
+def _assert_agrees_with_completion(got, completed):
+    """The completed result knows at least the D exponents got claims, and
+    at every one of them agrees with got to got's X-precision."""
+    assert (-inf if completed.cut is None else completed.cut) <= (
+        -inf if got.cut is None else got.cut
+    )
+    assert got.agrees(completed)
+
+
+@settings(max_examples=100, deadline=5000, database=None)
+@given(st.sampled_from([Q, C3, F7]), st.data())
+def test_psido_compose_agrees_with_tail_completions(field, more):
+    u = more.draw(operators(field))
+    v = more.draw(operators(field))
+    depth = more.draw(st.one_of(st.none(), st.integers(1, 6)))
+    got = psido_compose(u, v, depth)
+    for _ in range(3):
+        completed = psido_compose(_complete(more.draw, u), _complete(more.draw, v), depth)
+        _assert_agrees_with_completion(got, completed)
+
+
+@settings(max_examples=100, deadline=5000, database=None)
+@given(st.sampled_from([Q, C3, F7]), st.integers(-2, 2), st.data())
+def test_psido_invert_agrees_with_tail_completions(field, n, more):
+    prec = more.draw(st.integers(1, 5))
+    coeffs = {n: more.draw(leading_series(field, more.draw(st.integers(-2, 2)), False))}
+    for k in more.draw(st.lists(st.integers(n - 3, n - 1), max_size=2, unique=True)):
+        coeffs[k] = LaurentSeries(field, more.draw(series_data(field, -2, 3, prec)), prec)
+    cut = more.draw(st.one_of(st.none(), st.integers(n - 6, n - 1)))
+    depth = more.draw(st.integers(1, 6))
+    u = PsiDO(field, coeffs, cut)
+    got = psido_invert(u, depth)
+    for _ in range(3):
+        _assert_agrees_with_completion(got, psido_invert(_complete(more.draw, u), depth))
 
 
 # -- negative twists against the ring axioms ---------------------------------

@@ -119,6 +119,35 @@ def test_invert_truncated_leading_coefficient_round_trip():
     assert (u * inv).agrees(one) and (inv * u).agrees(one)
 
 
+def test_invert_keeps_coefficients_zero_to_x_precision():
+    """The inverse of (1 + X + O(X^3)) D is known at D^-4 .. D^-6 only to
+    O(X^0), O(X^-1), O(X^-2): the tail completions 1 + X + c X^3 give the
+    constant terms 24, 72 and 264 at D^-5 for c = 0, 1, 5."""
+    inv = psido_invert(PsiDO(Q, {1: S({0: 1, 1: 1}, 3)}), depth=6)
+    assert inv.format() == (
+        "(1 - X + X^2 + O(X^3))*D^-1 + (1 - 2*X + O(X^2))*D^-2"
+        " + (2 + O(X^1))*D^-3 + O(X^0)*D^-4 + O(X^-1)*D^-5 + O(X^-2)*D^-6"
+        " + O(D^-7)"
+    )
+    assert (inv.top, inv.order(), inv.depth) == (-1, 1, 6)
+    for c, constant in ((0, 24), (1, 72), (5, 264)):
+        done = psido_invert(PsiDO(Q, {1: S({0: 1, 1: 1, 3: c})}), depth=6)
+        assert done.coeff(-5).coeff(0) == constant
+        assert inv.agrees(done)
+
+
+def test_zero_to_x_precision_entries_are_kept_but_not_leading():
+    unknown = S({}, 3)
+    u = PsiDO(Q, {2: unknown, 1: S({0: 1})})
+    assert u.coeffs[2] == unknown and u != PsiDO(Q, {1: S({0: 1})})
+    assert (u.top, u.order()) == (1, -1) and not u.is_zero()
+    assert PsiDO(Q, {2: unknown}).is_zero()
+    assert u.format() == "O(X^3)*D^2 + D"
+    # the coefficient of D^2 may be the true leading term
+    with pytest.raises(PrecisionExhausted):
+        psido_invert(u, 4)
+
+
 def test_invert_rejects_zero():
     with pytest.raises(NotInvertible):
         psido_invert(PsiDO.zero(Q))

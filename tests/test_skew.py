@@ -14,6 +14,7 @@ from skewlocal.series import LaurentSeries
 from skewlocal.skew import (
     CommutationRule,
     SkewSeries,
+    _subst_element,
     build_from_rule,
     conj_by_t2,
     delta_extract,
@@ -306,3 +307,33 @@ def test_format_smoke():
     assert u.format() == "t1 - t1^-1*t2^2 + O(t2^5)"
     assert r.zero().format() == "0"
     assert r.format() == "t1 + t2"
+
+
+def test_truncated_series_at_an_element_caps_each_grade():
+    """a = t1 + t1^2 + O(t1^6) at P = t1 + t2 in heis(): P^2 = t1^2 + 2 t1 t2
+    + 2 t2^2, and each t2 factor in a power of P lowers its t1-degree by one,
+    so the unknown terms a_e P^e, e >= 6, reach grade g from t1^(6 - g) on.
+    twist substitutes P = Phi(t1); _subst_element substitutes P itself."""
+    rule = heis()
+    a = S({1: 1, 2: 1}, 6)
+    want = SkewSeries(rule, {0: S({1: 1, 2: 1}, 6), 1: S({0: 1, 1: 2}, 5), 2: S({0: 2}, 4)}, 3)
+    P = rule.element({0: S({1: 1}), 1: S({0: 1})})
+    assert rule.twist(a, 1, 3) == want
+    assert _subst_element(rule, a, P, 3, {}) == want
+    # every completion of a's tail agrees with the capped result
+    for tail in ({6: 1}, {6: -2, 7: 5}, {8: 3}):
+        done = rule.twist(S({1: 1, 2: 1, **tail}), 1, 3)
+        assert all(want.coeff(g).agrees(done.coeff(g)) for g in range(3))
+
+
+def test_subst_element_cuts_cached_powers_to_its_cap():
+    """Powers cached at a larger cap (change_t1 shares one cache over
+    shrinking caps) are cut back: the result is the fresh one, to grade 3."""
+    rule = heis()
+    a = S({1: 1, 2: 1, 3: -1})
+    P = rule.element({0: S({1: 1}), 1: S({0: 1})})
+    cache = {}
+    _subst_element(rule, a, P, 5, cache)
+    got = _subst_element(rule, a, P, 3, cache)
+    assert got.gprec == 3
+    assert got == _subst_element(rule, a, P, 3, {})
