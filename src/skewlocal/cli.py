@@ -11,6 +11,7 @@ schema version header, for golden tests and scripting.
 import argparse
 import os
 import sys
+from math import inf
 
 from .autonorm import DiskAutomorphism, normalize
 from .coeff import Field
@@ -30,8 +31,6 @@ from .skew import build_from_invariants, canonicalize, invariants, isomorphic
 
 SCHEMA = "skewlocal/1"
 PREC_ENV = "SKEWLOCAL_PREC"
-
-INF = float("inf")
 
 
 def _at_least(value, name, least=0):
@@ -60,7 +59,7 @@ def _resolve_default_prec(flag_value, flag, least=0):
 def _fmt(field, value):
     if value is None:
         return "none"
-    if value == INF:
+    if value == inf:
         return "infinity"
     if isinstance(value, int):
         return str(value)
@@ -182,7 +181,7 @@ def _parse_set(text, field):
     n = _set_int(parts[0], "n")
     xi = parse_scalar(parts[1], field)
     if parts[2] in ("inf", "infinity"):
-        return n, xi, INF, None, None, None
+        return n, xi, inf, None, None, None
     i = _set_int(parts[2], "i")
     if len(parts) == 3:
         raise SkewFieldError("finite i needs the full set n,xi,i,r,c,a")

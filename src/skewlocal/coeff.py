@@ -7,6 +7,9 @@ Elements are plain payloads and all arithmetic goes through the owning
 * cyclotomic Q(zeta_n): tuple of ``Fraction`` of length ``deg(Phi_n)``,
   coordinates with respect to ``1, zeta, ..., zeta^(deg-1)``
 * prime field F_p: ``int`` normalized to ``0..p-1``
+
+:func:`format_sum` is the one printer of sparse sums: cyclotomic elements
+here, and Laurent series, skew series, operators and Dubrovin words.
 """
 
 from fractions import Fraction
@@ -132,9 +135,36 @@ def _cyclotomic_poly(n):
     return poly
 
 
-def join_terms(parts):
-    """Formatted terms joined as a sum: a term with a leading "-" is
-    subtracted; "0" for no terms."""
+def power_text(var, e):
+    """``var^e`` as printed in a monomial: ``var`` for e = 1, "" for e = 0."""
+    if e == 0:
+        return ""
+    return var if e == 1 else "%s^%d" % (var, e)
+
+
+def format_sum(terms, tail=None):
+    """A sparse sum as text, from its terms in print order.
+
+    A term is (coefficient text, needs no parentheses, monomial text), with
+    "" as the monomial of a constant.  A coefficient of 1 is left out, -1 is
+    written as a sign, and one that needs parentheses gets them.  A term
+    with a leading "-" is subtracted; no terms print as "0", and ``tail``
+    (an ``O(var^N)``) is added last or stands alone.
+    """
+    parts = []
+    for cs, simple, mono in terms:
+        if not simple:
+            cs = "(%s)" % cs
+        if not mono:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(mono)
+        elif cs == "-1":
+            parts.append("-" + mono)
+        else:
+            parts.append("%s*%s" % (cs, mono))
+    if tail is not None:
+        parts.append(tail)
     if not parts:
         return "0"
     return parts[0] + "".join(
@@ -535,9 +565,19 @@ class Field:
             raise ZeroElement("zero is not a root of unity")
         if bound is None:
             bound = self.default_order_bound()
+        if self.kind == PRIME:
+            # the order divides p - 1: strip each prime factor q from p - 1
+            # while a^(order / q) is still 1
+            p = self.param
+            order = p - 1
+            for q in _prime_factors(order):
+                while order % q == 0 and pow(a, order // q, p) == 1:
+                    order //= q
+            return order if order <= bound else None
+        # every root of unity of Q(zeta_n) has order dividing lcm(2, n)
         one = self.one()
         pw = a
-        for m in range(1, bound + 1):
+        for m in range(1, min(bound, self.default_order_bound()) + 1):
             if pw == one:
                 return m
             pw = self.mul(pw, a)
@@ -631,22 +671,9 @@ class Field:
             return str(a)
         if self.kind == PRIME:
             return str(a % self.param)
-        parts = []
-        for k, c in enumerate(a):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                var = "zeta" if k == 1 else "zeta^%d" % k
-                if c == 1:
-                    term = var
-                elif c == -1:
-                    term = "-" + var
-                else:
-                    term = "%s*%s" % (c, var)
-                parts.append(term)
-        return join_terms(parts)
+        return format_sum(
+            (str(c), True, power_text("zeta", k)) for k, c in enumerate(a) if c != 0
+        )
 
     def is_simple(self, a):
         """True when format_element(a) needs no parentheses inside a product."""

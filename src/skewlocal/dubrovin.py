@@ -6,7 +6,9 @@ sum_k f_k(x, y) z^k with all x powers left of y powers.  w(a) is the least
 k with f_k nonzero, and is a discrete valuation: w(ab) = w(a) + w(b).
 """
 
-from .coeff import join_terms
+from math import inf
+
+from .coeff import format_sum, power_text
 from .errors import FieldMismatch
 from .series import LaurentSeries
 
@@ -215,34 +217,16 @@ class HeisenbergElement:
         )
 
     def format(self):
-        d = self.descriptor
-        items = []
+        terms = []
         for k in sorted(self.levels):
-            for a, b in sorted(self.levels[k]):
-                items.append((k, a, b, self.levels[k][(a, b)]))
-        parts = []
-        for k, a, b, c in items:
-            word = []
-            if a:
-                word.append("x" if a == 1 else "x^%d" % a)
-            if b:
-                word.append("y" if b == 1 else "y^%d" % b)
-            if k:
-                word.append("z" if k == 1 else "z^%d" % k)
-            body = "*".join(word)
-            cs = d.format(c)
-            if not body:
-                term = "(%s)" % cs if ("+" in cs[1:] or "-" in cs[1:]) else cs
-            elif d.is_one(c):
-                term = body
-            elif cs == "-1":
-                term = "-" + body
-            elif "+" in cs[1:] or "-" in cs[1:] or " " in cs:
-                term = "(%s)*%s" % (cs, body)
-            else:
-                term = "%s*%s" % (cs, body)
-            parts.append(term)
-        return join_terms(parts)
+            for (a, b), c in sorted(self.levels[k].items()):
+                cs = self.descriptor.format(c)
+                # a sign after the first character marks a sum or a negative
+                # u-exponent, as in (u^-1)*x
+                simple = "+" not in cs[1:] and "-" not in cs[1:]
+                word = (power_text("x", a), power_text("y", b), power_text("z", k))
+                terms.append((cs, simple, "*".join(w for w in word if w)))
+        return format_sum(terms)
 
     def __repr__(self):
         return "<heis %s>" % self.format()
@@ -270,5 +254,5 @@ def heis_mul(u, v):
 def valuation_w(a):
     """Least k with f_k nonzero; +inf for zero."""
     if not a.levels:
-        return float("inf")
+        return inf
     return min(a.levels)

@@ -11,7 +11,7 @@ from .coeff import Field
 from .dubrovin import Descriptor, HeisenbergElement
 from .errors import ParseError
 from .psido import PsiDO, psido_compose, psido_invert
-from .series import LaurentSeries
+from .series import LaurentSeries, _p, _unp
 from .skew import CommutationRule, build_from_rule
 
 _OPS = set("+-*/^(),=")
@@ -329,19 +329,11 @@ class RuleDomain:
             return self._const(LaurentSeries.const(self.field, self.field.zeta()))
         raise ParseError("unknown name %r at position %d" % (name, pos))
 
-    @staticmethod
-    def _gmin(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
-
     def add(self, a, b):
         out = dict(a.coeffs)
         for j, s in b.coeffs.items():
             out[j] = out[j] + s if j in out else s
-        return RuleDomain.Value(out, self._gmin(a.gprec, b.gprec))
+        return RuleDomain.Value(out, _unp(min(_p(a.gprec), _p(b.gprec))))
 
     def neg(self, a):
         return RuleDomain.Value({j: -s for j, s in a.coeffs.items()}, a.gprec)

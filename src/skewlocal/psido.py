@@ -16,21 +16,21 @@ whose tail terminates exactly when the derivatives of a run out; otherwise
 it is truncated at the working depth.
 """
 
-from .coeff import join_terms
+from math import inf
+
+from .coeff import format_sum, power_text
 from .errors import FieldMismatch, NotInvertible, PrecisionExhausted
 from .series import DEFAULT_PRECISION, LaurentSeries, unit_inverse
 from .skew import SkewSeries, build_from_rule
 
-_NEG_INF = float("-inf")
-
 
 # -inf, not series._p's +inf: a cut bounds the unknown exponents from above
 def _c(cut):
-    return _NEG_INF if cut is None else cut
+    return -inf if cut is None else cut
 
 
 def _uc(cut):
-    return None if cut == _NEG_INF else int(cut)
+    return None if cut == -inf else int(cut)
 
 
 class PsiDO:
@@ -92,7 +92,7 @@ class PsiDO:
     def order(self):
         """t2-style valuation with t2 = D^-1: minus the leading exponent."""
         top = self.top
-        return float("inf") if top is None else -top
+        return inf if top is None else -top
 
     def coeff(self, k):
         if self.cut is not None and k <= self.cut:
@@ -166,29 +166,13 @@ class PsiDO:
         return True
 
     def format(self):
-        parts = []
-        for k in sorted(self.coeffs, reverse=True):
-            s = self.coeffs[k]
-            body = s.format(var="X")
-            multi = len(s.coeffs) + (1 if s.prec is not None else 0) > 1
-            if k == 0:
-                parts.append("(%s)" % body if multi else body)
-                continue
-            ds = "D" if k == 1 else "D^%d" % k
-            if body == "1":
-                term = ds
-            elif body == "-1":
-                term = "-" + ds
-            elif multi:
-                term = "(%s)*%s" % (body, ds)
-            else:
-                term = "%s*%s" % (body, ds)
-            parts.append(term)
-        body = join_terms(parts)
-        if self.cut is not None:
-            tail = "O(D^%d)" % self.cut
-            body = tail if body == "0" else "%s + %s" % (body, tail)
-        return body
+        return format_sum(
+            (
+                (s.format(var="X"), s.shows_one_term(), power_text("D", k))
+                for k, s in sorted(self.coeffs.items(), reverse=True)
+            ),
+            None if self.cut is None else "O(D^%d)" % self.cut,
+        )
 
     def __repr__(self):
         return "<psido %s>" % self.format()
@@ -214,7 +198,7 @@ def psido_compose(u, v, depth=None):
     chains = {l: [b] for l, b in v.coeffs.items()}
     for k, a in u.coeffs.items():
         for l, chain in chains.items():
-            floor = hard if k < 0 else _NEG_INF
+            floor = hard if k < 0 else -inf
             j = 0
             coef = 1
             while True:
@@ -246,7 +230,7 @@ def _filtration(p):
     """The D^-1-adic filtration of every kept entry of p: a residual entry
     O(X^k) D^-j is zero only to its X-precision, and its products still
     reach D^-2j and below."""
-    return -max(p.coeffs) if p.coeffs else float("inf")
+    return -max(p.coeffs) if p.coeffs else inf
 
 
 def psido_invert(u, depth=None):
@@ -309,21 +293,17 @@ def to_skew(field, depth=None):
     t2 = PsiDO.d(field, -1).scale(minus)
     t2_inv = PsiDO.d(field, 1).scale(minus)
     img = psido_compose(psido_compose(t2, x, depth), t2_inv, depth)
-    coeffs = {}
-    for k, s in img.coeffs.items():
-        m = -k
-        coeffs[m] = s if m % 2 == 0 else s.scale(minus)
-    t2_prec = None if img.cut is None else -img.cut
-    return build_from_rule(field, coeffs, t2_prec)
+    return build_from_rule(field, *_t2_terms(img))
 
 
 def transcribe(p, rule):
     """The skew series matching the operator p under t1 = X, t2 = -D^-1."""
-    field = p.field
-    minus = field.from_int(-1)
-    terms = {}
-    for k, s in p.coeffs.items():
-        m = -k
-        terms[m] = s if m % 2 == 0 else s.scale(minus)
-    gprec = None if p.cut is None else -p.cut
-    return SkewSeries(rule, terms, gprec)
+    return SkewSeries(rule, *_t2_terms(p))
+
+
+def _t2_terms(p):
+    """The coefficients (-1)^m a of t2^m, m = -k, for the terms a(X) D^k of
+    p, and the cut of p as a t2-grade precision."""
+    minus = p.field.from_int(-1)
+    terms = {-k: s if k % 2 == 0 else s.scale(minus) for k, s in p.coeffs.items()}
+    return terms, None if p.cut is None else -p.cut

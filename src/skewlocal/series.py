@@ -8,7 +8,7 @@ A series carries a precision ``prec``: coefficients of exponents below
 from fractions import Fraction
 from math import inf
 
-from .coeff import join_terms
+from .coeff import format_sum, power_text
 from .errors import (
     FieldMismatch,
     NonConvergent,
@@ -367,33 +367,20 @@ class LaurentSeries:
 
     # -- formatting -----------------------------------------------------------
 
+    def shows_one_term(self):
+        """True when ``format`` prints at most one term: one coefficient, or
+        the O(t^prec) tail alone."""
+        return len(self.coeffs) + (self.prec is not None) <= 1
+
     def format(self, var="t"):
         f = self.field
-        parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            cs = f.format_element(c)
-            if e == 0:
-                term = cs if f.is_simple(c) else "(%s)" % cs
-            else:
-                if e == 1:
-                    vs = var
-                else:
-                    vs = "%s^%d" % (var, e)
-                if cs == "1":
-                    term = vs
-                elif cs == "-1":
-                    term = "-" + vs
-                elif f.is_simple(c):
-                    term = "%s*%s" % (cs, vs)
-                else:
-                    term = "(%s)*%s" % (cs, vs)
-            parts.append(term)
-        body = join_terms(parts)
-        if self.prec is not None:
-            tail = "O(%s^%d)" % (var, self.prec)
-            body = tail if body == "0" else "%s + %s" % (body, tail)
-        return body
+        return format_sum(
+            (
+                (f.format_element(c), f.is_simple(c), power_text(var, e))
+                for e, c in sorted(self.coeffs.items())
+            ),
+            None if self.prec is None else "O(%s^%d)" % (var, self.prec),
+        )
 
     def __str__(self):
         return self.format()

@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedField,
     ZeroDivisorCandidate,
 )
-from .coeff import join_terms
+from .coeff import format_sum, power_text
 from .series import DEFAULT_PRECISION, LaurentSeries, _p, _unp, unit_inverse
 
 
@@ -133,29 +133,13 @@ class SkewSeries:
         return True
 
     def format(self):
-        parts = []
-        for j in sorted(self.terms):
-            s = self.terms[j]
-            body = s.format(var="t1")
-            multi = len(s.coeffs) + (1 if s.prec is not None else 0) > 1
-            if j == 0:
-                parts.append("(%s)" % body if multi else body)
-                continue
-            t2s = "t2" if j == 1 else "t2^%d" % j
-            if body == "1":
-                term = t2s
-            elif body == "-1":
-                term = "-" + t2s
-            elif multi:
-                term = "(%s)*%s" % (body, t2s)
-            else:
-                term = "%s*%s" % (body, t2s)
-            parts.append(term)
-        body = join_terms(parts)
-        if self.gprec is not None:
-            tail = "O(t2^%d)" % self.gprec
-            body = tail if body == "0" else "%s + %s" % (body, tail)
-        return body
+        return format_sum(
+            (
+                (s.format(var="t1"), s.shows_one_term(), power_text("t2", j))
+                for j, s in sorted(self.terms.items())
+            ),
+            None if self.gprec is None else "O(t2^%d)" % self.gprec,
+        )
 
     def __repr__(self):
         return "<skew %s>" % self.format()
@@ -255,13 +239,9 @@ class CommutationRule:
         if m == -1:
             img = self.inverse_rule(cap).phi_image(1, cap)
             return SkewSeries(self, img.terms, img.gprec)
-        need = _p(cap)
-        cached = self._phi_cache.get(m)
-        if cached is not None:
-            if cached[1].gprec is None:
-                return cached[1]
-            if cached[0] >= need:
-                return cached[1] if cap is None else cached[1].truncate(cap)
+        img = _memo_get(self._phi_cache, m, cap)
+        if img is not None:
+            return img
         if m == 1:
             img = SkewSeries(self, self.coeffs, self.t2_prec)
         else:
@@ -269,11 +249,7 @@ class CommutationRule:
             # would move t2 past coefficients by Phi^-1 instead of Phi
             step = 1 if m > 0 else -1
             img = self._apply_phi(self.phi_image(m - step, cap), cap, step)
-        stored = need
-        if stored == inf and img.gprec is not None:
-            stored = img.gprec
-        self._phi_cache[m] = (stored, img)
-        return img
+        return _memo_put(self._phi_cache, m, cap, img)
 
     def _apply_phi(self, x, cap, step=1):
         """Phi^step (step = +-1) applied to an element: sum Phi^step(x_l) t2^l."""
@@ -294,37 +270,6 @@ class CommutationRule:
                 acc[j] = acc[j] + sg if j in acc else sg
         return SkewSeries(self, acc, _unp(min(gp, capg)))
 
-    def _phi_power(self, m, e, cap):
-        """(Phi^m(t1))^e, cached per rule with per-entry caps.
-
-        Inverting Phi^m(t1) re-enters this cache at smaller caps, so every
-        entry records the cap it was computed at and is only reused when
-        that is large enough.
-        """
-        need = _p(cap)
-        pows = self._pow_cache.setdefault(m, {})
-        entry = pows.get(e)
-        if entry is not None:
-            if entry[1].gprec is None:
-                return entry[1]
-            if entry[0] >= need:
-                return entry[1] if cap is None else entry[1].truncate(cap)
-        if e == 0:
-            out = self.one()
-        elif e > 0:
-            out = skew_mul(self._phi_power(m, e - 1, cap), self.phi_image(m, cap), cap)
-        elif e == -1:
-            out = skew_invert(self.phi_image(m, cap), cap)
-        else:
-            out = skew_mul(
-                self._phi_power(m, e + 1, cap), self._phi_power(m, -1, cap), cap
-            )
-        stored = need
-        if stored == inf and out.gprec is not None:
-            stored = out.gprec
-        pows[e] = (stored, out)
-        return out
-
     def twist(self, a, m, cap=None):
         """Phi^m(a) for a coefficient series a: substitute Phi^m(t1).
 
@@ -333,9 +278,13 @@ class CommutationRule:
             return self.zero(cap)
         if m == 0 or a.is_zero():
             return self.from_series(a)
-        return _evaluate(
-            a, lambda e: self._phi_power(m, e, cap), cap, lambda: self.phi_image(m, cap)
-        )
+        # inverting Phi^m(t1) re-enters the power cache at smaller caps
+        pows = self._pow_cache.setdefault(m, {})
+
+        def base():
+            return self.phi_image(m, cap)
+
+        return _evaluate(a, lambda e: _power(self, pows, e, cap, base), cap, base)
 
     # -- inverse rule ---------------------------------------------------------
 
@@ -379,14 +328,55 @@ class CommutationRule:
         return "<rule C = %s>" % self.format()
 
 
+def _memo_get(cache, key, cap):
+    """The entry for key, cut to grade cap, if it was computed to at least
+    that grade (or is exact); else None."""
+    entry = cache.get(key)
+    if entry is None:
+        return None
+    stored, value = entry
+    if value.gprec is None:
+        return value
+    if stored >= _p(cap):
+        return value.truncate(cap)
+    return None
+
+
+def _memo_put(cache, key, cap, value):
+    """Store value as computed to grade cap (to its own precision when cap
+    is None) and return it."""
+    stored = _p(cap)
+    if stored == inf and value.gprec is not None:
+        stored = value.gprec
+    cache[key] = (stored, value)
+    return value
+
+
+def _power(rule, cache, e, cap, base):
+    """P^e to grade cap for P = base(), memoized in cache with the cap
+    each entry was computed at."""
+    out = _memo_get(cache, e, cap)
+    if out is not None:
+        return out
+    if e == 0:
+        out = rule.one()
+    elif e > 0:
+        out = skew_mul(_power(rule, cache, e - 1, cap, base), base(), cap)
+    elif e == -1:
+        out = skew_invert(base(), cap)
+    else:
+        out = skew_mul(
+            _power(rule, cache, e + 1, cap, base), _power(rule, cache, -1, cap, base), cap
+        )
+    return _memo_put(cache, e, cap, out)
+
+
 def _evaluate(a, power, cap, base):
     """a(P) = sum a_e P^e for a coefficient series a with at least one term.
 
     power(e) is P^e to grade cap; base() is P, read only to cap the
     coefficient precisions when a is truncated."""
     acc = reduce(add, (power(e).scale(c) for e, c in sorted(a.coeffs.items())))
-    if acc.gprec is not None:
-        acc = acc.truncate(cap)
     if a.prec is not None:
         acc = _tail_cap(acc, a.prec, base())
     return acc
@@ -577,22 +567,10 @@ def change_t1(rule, y_el, cap=None):
 def _subst_element(rule, a, S, cap, pow_cache):
     """a(S) for a coefficient series a and a skew element S with unit
     grade-zero part; powers of S are memoized in pow_cache."""
+    def base():
+        return S
 
-    def power(e):
-        if e in pow_cache:
-            return pow_cache[e]
-        if e == 0:
-            out = rule.one()
-        elif e > 0:
-            out = skew_mul(power(e - 1), S, cap)
-        else:
-            if "inv" not in pow_cache:
-                pow_cache["inv"] = skew_invert(S, cap)
-            out = skew_mul(power(e + 1), pow_cache["inv"], cap)
-        pow_cache[e] = out
-        return out
-
-    return _evaluate(a, power, cap, lambda: S)
+    return _evaluate(a, lambda e: _power(rule, pow_cache, e, cap, base), cap, base)
 
 
 def change_t2(rule, w_el, cap=None):

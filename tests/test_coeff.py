@@ -8,10 +8,12 @@ import pytest
 from skewlocal.coeff import Field
 from skewlocal.errors import (
     DivisionByZero,
+    InadmissibleSet,
     ParseError,
     UnsupportedField,
     ZeroElement,
 )
+from skewlocal.skew import build_from_invariants
 
 Q = Field.rationals()
 
@@ -87,6 +89,53 @@ def test_root_of_unity_order():
     F13 = Field.prime_field(13)
     assert F13.root_of_unity_order(F13.from_int(12)) == 2
     assert F13.root_of_unity_order(F13.from_int(3)) == 3  # 27 = 1 mod 13
+
+
+def _order_by_loop(field, a, bound):
+    """The least m <= bound with a^m = 1, one multiplication at a time."""
+    pw = a
+    for m in range(1, bound + 1):
+        if pw == field.one():
+            return m
+        pw = field.mul(pw, a)
+    return None
+
+
+def test_root_of_unity_order_matches_loop():
+    """Every unit of F_p for p - 1 = 2^2 3, 2^2 3^2, 2^5 3 and 2^8, and the
+    roots of unity and some non-roots of Q(zeta_n), n <= 12, at bounds
+    below, at and above the orders."""
+    for p in (13, 37, 97, 257):
+        F = Field.prime_field(p)
+        for a in range(1, p):
+            for bound in (None, 1, 2, 3, 4, 6, 8, 12, 16, p - 2):
+                want = _order_by_loop(F, a, p - 1 if bound is None else bound)
+                assert F.root_of_unity_order(a, bound) == want
+    for n in range(1, 13):
+        F = Field.cyclotomic(n)
+        z = F.zeta()
+        cands = [F.pow(z, k) for k in range(n)]
+        cands += [F.neg(c) for c in cands]
+        cands += [F.from_int(2), F.add(F.one(), z), F.from_fraction(Fraction(1, 2))]
+        for a in [c for c in cands if not F.is_zero(c)]:
+            for bound in (None, 1, 2, n, 3 * n):
+                want = _order_by_loop(F, a, F.default_order_bound() if bound is None else bound)
+                assert F.root_of_unity_order(a, bound) == want
+
+
+def test_root_of_unity_order_is_bounded():
+    """The loop took the bound's number of products: over F_100000007 that
+    is p - 1 of them, and over Q the powers of 2 grow with every step."""
+    start = time.perf_counter()
+    p = 100000007
+    order = Field.prime_field(p).root_of_unity_order(5)
+    assert (p - 1) % order == 0 and pow(5, order, p) == 1
+    assert 2 * 491 * 101833 == p - 1
+    assert all(order % q or pow(5, order // q, p) != 1 for q in (2, 491, 101833))
+    assert Q.root_of_unity_order(Q.from_int(2), bound=10**5) is None
+    with pytest.raises(InadmissibleSet):
+        build_from_invariants(Q, 10**6, Q.from_int(2), 10**6, 1, Q.one(), Q.one())
+    assert time.perf_counter() - start < 1.0
 
 
 def test_primitive_root_of_unity():
