@@ -19,6 +19,7 @@ a(f)^(k - 1) (``_conj_step``).  The generic ``compose``, ``comp_invert``,
 ``auto_compose`` and ``conjugate`` serve every other inner series.
 """
 
+from fractions import Fraction
 from math import comb, inf
 
 from .errors import (
@@ -238,14 +239,19 @@ def normalize(auto, prec=None):
     total = DiskAutomorphism.identity(field, prec)
     zero = field.zero()
 
+    # 1 / (zeta - zeta^k), by k mod n: zeta^k depends on nothing else
+    slope_inv = {}
+
     def kill(k):
         """Remove the coefficient at t^k; the slope zeta - zeta^k is nonzero."""
         nonlocal cur, total
         a_k = cur.image.coeffs.get(k)
         if a_k is None:
             return
-        slope = field.sub(zeta, field.pow(zeta, k))
-        b = field.neg(field.div(a_k, slope))
+        key = k if n is None else k % n
+        if key not in slope_inv:
+            slope_inv[key] = field.inv(field.sub(zeta, field.pow(zeta, k)))
+        b = field.neg(field.mul(a_k, slope_inv[key]))
         cur, _ = _conj_step(field, cur, k, b, prec)
         total = DiskAutomorphism(_elementary_compose(total.image, k, b, prec))
         if not field.is_zero(cur.image.coeffs.get(k, zero)):
@@ -281,6 +287,7 @@ def normalize(auto, prec=None):
             required=2 * i_alpha,
         )
     x = cur.image.coeffs[i_alpha]
+    x_inv = field.inv(x)
 
     # pass two: clear t^m for m > i_alpha with n | m - 1, except
     # m = 2 i_alpha - 1, by conjugating with f = t + b t^k, k = m - i_alpha + 1.
@@ -296,15 +303,15 @@ def normalize(auto, prec=None):
         if a_m is None:
             continue
         k = m - i_alpha + 1
-        slope = field.mul(field.from_int(i_alpha - k), x)
-        b = field.neg(field.div(a_m, slope))
+        # b = -a_m / ((i_alpha - k) x), with x inverted once per call
+        b = field.mul(field.mul(a_m, x_inv), field.from_fraction(Fraction(1, k - i_alpha)))
         cur, _ = _conj_step(field, cur, k, b, prec)
         total = DiskAutomorphism(_elementary_compose(total.image, k, b, prec))
         if not field.is_zero(cur.image.coeffs.get(m, zero)):
             raise NotSolvable("affine solve failed to clear t^%d" % m)
 
     y_num = cur.image.coeffs.get(2 * i_alpha - 1, zero)
-    y = field.div(y_num, field.mul(x, x))
+    y = field.mul(y_num, field.mul(x_inv, x_inv))
     expected = LaurentSeries(
         field,
         {1: zeta, i_alpha: x, 2 * i_alpha - 1: y_num},

@@ -8,6 +8,11 @@ Elements are plain payloads and all arithmetic goes through the owning
   coordinates with respect to ``1, zeta, ..., zeta^(deg-1)``
 * prime field F_p: ``int`` normalized to ``0..p-1``
 
+:meth:`Field.dot` is the one exact sum-of-products kernel: every product
+of series (``convolve`` is its one-term call), every grade of a skew
+product, every twist a(P) = sum a_e P^e and every D-exponent of an operator
+product is one call, on integers, with one division per output exponent.
+
 :func:`format_sum` is the one printer of sparse sums: cyclotomic elements
 here, and Laurent series, skew series, operators and Dubrovin words.
 """
@@ -31,16 +36,35 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _is_prime(p):
-    if p < 2:
+# the first 13 primes: as Miller-Rabin bases they decide every n below
+# _MR_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Primality by deterministic Miller-Rabin; a number with no small
+    factor at or above _MR_LIMIT raises UnsupportedField."""
+    if n < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_LIMIT:
+        raise UnsupportedField("primality of %d is not decided above %d" % (n, _MR_LIMIT))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -175,8 +199,19 @@ def format_sum(terms, tail=None):
 def _clear(coeffs):
     """(lcm of the denominators, integer numerators over it) of a map of
     Fractions."""
+    if len(coeffs) == 1:
+        for e, c in coeffs.items():
+            return c.denominator, {e: c.numerator}
     den = lcm(*[c.denominator for c in coeffs.values()])
     return den, {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+
+
+def _clear_vectors(coeffs):
+    """``_clear`` for a map of coordinate tuples: (common denominator,
+    integer coordinate lists, largest absolute coordinate)."""
+    den = lcm(*[c.denominator for x in coeffs.values() for c in x])
+    ints = {e: [c.numerator * (den // c.denominator) for c in x] for e, x in coeffs.items()}
+    return den, ints, max([abs(v) for x in ints.values() for v in x])
 
 
 def _pack(coords, w):
@@ -188,6 +223,15 @@ def _pack(coords, w):
             packed = (packed << w) + v
         out[e] = packed
     return out
+
+
+def _scaled(a, b, f):
+    """The pair (a, b) of maps of ints with the smaller side times f."""
+    if f == 1:
+        return a, b
+    if len(a) <= len(b):
+        return {e: x * f for e, x in a.items()}, b
+    return a, {e: y * f for e, y in b.items()}
 
 
 def _accumulate(a, b, bound):
@@ -217,6 +261,21 @@ def _direct(ca, cb, bound, p):
             if bound is None or e < bound:
                 out[e] = x * y if p is None else x * y % p
     return out
+
+
+def _merge(run, acc, modulus):
+    """Add the sums of one term into the running map the way the series
+    ``+`` does: an exponent whose running sum is zero (modulo ``modulus``
+    unless it is None) is deleted, a new one is appended."""
+    for e, v in acc.items():
+        if e in run:
+            v += run[e]
+        if modulus is not None:
+            v %= modulus
+        if v:
+            run[e] = v
+        elif e in run:
+            del run[e]
 
 
 def _iroot(n, d):
@@ -263,6 +322,15 @@ class Field:
                     for i in range(self.degree):
                         rem[i] += top * base[i]
             self._xpow = [[(i, c) for i, c in enumerate(row) if c] for row in pows]
+            # reducing a polynomial of degree < 2 degree - 1 modulo Phi_n
+            # multiplies its largest coefficient at most this often
+            self._growth = 1 + max(
+                [sum(abs(c) for row in self._xpow for j, c in row if j == i) for i in range(self.degree)]
+            )
+            # Phi_n's integer coefficients, highest first, and the largest
+            # absolute one below the leading 1
+            self._phi = [int(c) for c in reversed(self.modulus)]
+            self._height = max(abs(c) for c in self._phi[1:])
         elif kind == PRIME:
             if not _is_prime(param):
                 raise ValueError("%r is not prime" % (param,))
@@ -368,7 +436,7 @@ class Field:
 
     def is_zero(self, a):
         if self.kind == CYCLOTOMIC:
-            return all(c == 0 for c in a)
+            return not any(a)
         return a == 0
 
     def add(self, a, b):
@@ -428,76 +496,102 @@ class Field:
 
     def convolve(self, ca, cb, bound=None):
         """Nonzero coefficients below ``bound`` (None: all) of the product of
-        the sparse maps ``ca``, ``cb`` (exponent -> nonzero element).
+        the sparse maps ``ca``, ``cb`` (exponent -> nonzero element): the
+        one-term ``dot``."""
+        return self.dot([(1, ca, cb)], bound)
 
-        Exact and equal to summing ``mul`` over all pairs, in the same key
-        order, but computed on integers: over Q and Q(zeta_n) each factor is
-        brought to one common denominator, and each output coefficient is
-        divided (and over Q(zeta_n) reduced modulo Phi_n) once.
+    def dot(self, terms, bound=None):
+        """Nonzero coefficients below ``bound`` (None: all) of the sum of
+        m a b over ``terms``, a list of (m, a, b) with an integer m and
+        sparse maps a, b (exponent -> nonzero element).
+
+        Exact and equal to summing the products term by term with ``mul``
+        and ``add``, in the same key order: each term's pair products are
+        summed per exponent and merged into the running sum the way the
+        series ``+`` merges, so an exponent whose running sum cancels is
+        deleted and appended again if it comes back.  The work is on
+        integers: over Q every term is brought to one common denominator
+        and each output coefficient is one division; over F_p a sum is
+        reduced before it is tested for zero.
         """
-        if not ca or not cb:
-            return {}
         if self.kind == CYCLOTOMIC:
-            return self._convolve_cyclotomic(ca, cb, bound)
+            return self._dot_cyclotomic(terms, bound)
         p = self.param if self.kind == PRIME else None
-        if len(ca) == 1 or len(cb) == 1:
-            # monomials and scalars: clearing denominators costs more here
-            return _direct(ca, cb, bound, p)
+        if len(terms) == 1:
+            m, a, b = terms[0]
+            if m == 1 and (len(a) == 1 or len(b) == 1):
+                # monomials and scalars: clearing denominators costs more
+                return _direct(a, b, bound, p)
         if p is not None:
-            out = {}
-            for e, v in _accumulate(ca, cb, bound).items():
-                v %= p
-                if v:
-                    out[e] = v
-            return out
-        da, na = _clear(ca)
-        db, nb = _clear(cb)
-        den = da * db
-        return {e: Fraction(v, den) for e, v in _accumulate(na, nb, bound).items() if v}
+            run = {}
+            for m, a, b in terms:
+                if a and b:
+                    _merge(run, _accumulate(*_scaled(a, b, m), bound), p)
+            return run
+        cleared = []
+        for m, a, b in terms:
+            if a and b:
+                da, na = _clear(a)
+                db, nb = _clear(b)
+                cleared.append((m, na, nb, da * db))
+        if not cleared:
+            return {}
+        den = lcm(*[t[3] for t in cleared])
+        run = {}
+        for m, na, nb, dk in cleared:
+            _merge(run, _accumulate(*_scaled(na, nb, m * (den // dk)), bound), None)
+        return {e: Fraction(v, den) for e, v in run.items()}
 
-    def _convolve_cyclotomic(self, ca, cb, bound):
-        """``convolve`` over Q(zeta_n): one bigint product per term pair."""
+    def _dot_cyclotomic(self, terms, bound):
+        """``dot`` over Q(zeta_n) by Kronecker substitution.
+
+        A coordinate vector x is packed as the int x(2^w), so a product of
+        packed ints is the unreduced product polynomial at 2^w, and sums
+        stay exact whatever the slot contents.  Sums are kept modulo
+        N = Phi_n(2^w): the residue is R(2^w) for R the sum reduced modulo
+        Phi_n, once every coordinate of R is below B with 2B + H < 2^w (H
+        the largest lower coefficient of Phi_n).  Then |R(2^w)| < N / 2, so
+        a sum is zero in Q(zeta_n) exactly when its residue is 0, and the
+        balanced residue unpacks into the coordinates of R, one signed slot
+        each.  A coordinate of one term's unreduced sum at an exponent is a
+        sum of at most d min(#a, #b) products, and reduction modulo Phi_n
+        grows it at most ``self._growth``-fold, which bounds B over every
+        partial sum of the terms.
+        """
         d = self.degree
-        da = lcm(*[c.denominator for x in ca.values() for c in x])
-        db = lcm(*[c.denominator for x in cb.values() for c in x])
-        ia = {e: [c.numerator * (da // c.denominator) for c in x] for e, x in ca.items()}
-        ib = {e: [c.numerator * (db // c.denominator) for c in x] for e, x in cb.items()}
-        # a slot holds one coordinate of the product before reduction,
-        # summed over the at most min(#a, #b) term pairs of an exponent: a
-        # sum of at most d * min(#a, #b) products, so |slot| < 2^(w - 2),
-        # inside the signed range of w bits
-        ma = max(abs(v) for x in ia.values() for v in x)
-        mb = max(abs(v) for x in ib.values() for v in x)
-        w = (
-            ma.bit_length()
-            + mb.bit_length()
-            + (d * min(len(ca), len(cb))).bit_length()
-            + 2
-        )
-        acc = _accumulate(_pack(ia, w), _pack(ib, w), bound)
+        cleared = []
+        for m, a, b in terms:
+            if a and b:
+                da, ia, ma = _clear_vectors(a)
+                db, ib, mb = _clear_vectors(b)
+                cleared.append((m, ia, ib, da * db, ma * mb * min(len(a), len(b))))
+        if not cleared:
+            return {}
+        den = lcm(*[t[3] for t in cleared])
+        top = d * self._growth * sum(abs(t[0]) * (den // t[3]) * t[4] for t in cleared)
+        w = (2 * top + self._height).bit_length()
+        modulus = 0
+        for c in self._phi:
+            modulus = (modulus << w) + c
+        run = {}
+        for m, ia, ib, dk, _ in cleared:
+            pa, pb = _scaled(_pack(ia, w), _pack(ib, w), m * (den // dk))
+            _merge(run, _accumulate(pa, pb, bound), modulus)
         mask = (1 << w) - 1
         half = 1 << (w - 1)
         full = 1 << w
-        den = da * db
-        xpow = self._xpow
         out = {}
-        for e, packed in acc.items():
-            # unpack the 2d - 1 signed slots, lowest first
-            slots = []
-            for _ in range(2 * d - 1):
-                r = packed & mask
+        for e, v in run.items():
+            if 2 * v > modulus:
+                v -= modulus
+            coords = []
+            for _ in range(d):
+                r = v & mask
                 if r >= half:
                     r -= full
-                slots.append(r)
-                packed = (packed - r) >> w
-            coords = slots[:d]
-            for k in range(d - 1):
-                h = slots[d + k]
-                if h:
-                    for i, c in xpow[k]:
-                        coords[i] += h * c
-            if any(coords):
-                out[e] = tuple(Fraction(v, den) if v else _ZERO for v in coords)
+                coords.append(Fraction(r, den) if r else _ZERO)
+                v = (v - r) >> w
+            out[e] = tuple(coords)
         return out
 
     def inv(self, a):

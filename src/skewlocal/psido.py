@@ -20,7 +20,13 @@ from math import inf
 
 from .coeff import format_sum, power_text
 from .errors import FieldMismatch, NotInvertible, PrecisionExhausted
-from .series import DEFAULT_PRECISION, LaurentSeries, unit_inverse
+from .series import (
+    DEFAULT_PRECISION,
+    LaurentSeries,
+    file_product,
+    sum_filed,
+    unit_inverse,
+)
 from .skew import SkewSeries, build_from_rule
 
 
@@ -192,10 +198,11 @@ def psido_compose(u, v, depth=None):
     eff = max(_c(u.cut) + tv, _c(v.cut) + tu)
     window = depth if depth is not None else DEFAULT_PRECISION
     hard = tu + tv - window
-    out = {}
+    terms = {}
     # the derivative chains b, b', b'', ... of v's coefficients, grown on
     # demand and shared by every term of u
     chains = {l: [b] for l, b in v.coeffs.items()}
+    char = field.char()
     for k, a in u.coeffs.items():
         for l, chain in chains.items():
             floor = hard if k < 0 else -inf
@@ -215,14 +222,14 @@ def psido_compose(u, v, depth=None):
                 if g <= floor:
                     eff = max(eff, g)
                     break
-                term = a * bj
-                if coef != 1:
-                    term = term.scale(field.from_int(coef))
-                # a term zero only to its X-precision still caps that of D^g
-                if not term.is_exact_zero():
-                    out[g] = out[g] + term if g in out else term
+                # the term coef a b^(j) is an exact zero only when both
+                # factors are exact and p divides coef; a term zero only to
+                # its X-precision still caps that of D^g
+                if a.prec is not None or bj.prec is not None or not (char and coef % char == 0):
+                    file_product(terms, g, a, bj, coef)
                 j += 1
                 coef = coef * (k - j + 1) // j
+    out = {g: sum_filed(field, entry) for g, entry in terms.items() if g > eff}
     return PsiDO(field, out, _uc(eff))
 
 

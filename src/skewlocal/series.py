@@ -52,6 +52,11 @@ def unit_inverse(q, one, depth, cut, val):
         r = one - cut(q, x, min(2 * k, depth))
 
 
+def _mul_prec(a, b):
+    """The precision of the product of series a and b, +inf when exact."""
+    return min(_p(a.prec) + b.val_floor(), _p(b.prec) + a.val_floor())
+
+
 def _series(field, coeffs, prec):
     """A series from coefficients that are already nonzero and below prec."""
     out = LaurentSeries.__new__(LaurentSeries)
@@ -59,6 +64,24 @@ def _series(field, coeffs, prec):
     out.coeffs = coeffs
     out.prec = prec
     return out
+
+
+def file_product(sums, key, a, b, m=1):
+    """File the product m a b of two series under key in sums, which maps a
+    key to [the terms of one ``Field.dot``, the least precision filed]."""
+    prec = _mul_prec(a, b)
+    entry = sums.get(key)
+    if entry is None:
+        sums[key] = [[(m, a.coeffs, b.coeffs)], prec]
+    else:
+        entry[0].append((m, a.coeffs, b.coeffs))
+        entry[1] = min(entry[1], prec)
+
+
+def sum_filed(field, entry):
+    """The series a ``file_product`` entry sums to, at its precision."""
+    terms, prec = entry
+    return _series(field, field.dot(terms, _unp(prec)), _unp(prec))
 
 
 class LaurentSeries:
@@ -166,12 +189,7 @@ class LaurentSeries:
 
     def __mul__(self, other):
         self._check(other)
-        prec = _unp(
-            min(
-                _p(self.prec) + other.val_floor(),
-                _p(other.prec) + self.val_floor(),
-            )
-        )
+        prec = _unp(_mul_prec(self, other))
         f = self.field
         return _series(f, f.convolve(self.coeffs, other.coeffs, prec), prec)
 

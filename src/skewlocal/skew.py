@@ -11,9 +11,7 @@ with a t2-grade precision ``gprec`` (grades below it are known).
 """
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd, inf
-from operator import add
 
 from . import autonorm
 from .errors import (
@@ -25,7 +23,15 @@ from .errors import (
     ZeroDivisorCandidate,
 )
 from .coeff import format_sum, power_text
-from .series import DEFAULT_PRECISION, LaurentSeries, _p, _unp, unit_inverse
+from .series import (
+    DEFAULT_PRECISION,
+    LaurentSeries,
+    _p,
+    _unp,
+    file_product,
+    sum_filed,
+    unit_inverse,
+)
 
 
 class SkewSeries:
@@ -375,8 +381,33 @@ def _evaluate(a, power, cap, base):
     """a(P) = sum a_e P^e for a coefficient series a with at least one term.
 
     power(e) is P^e to grade cap; base() is P, read only to cap the
-    coefficient precisions when a is truncated."""
-    acc = reduce(add, (power(e).scale(c) for e, c in sorted(a.coeffs.items())))
+    coefficient precisions when a is truncated.  Each grade g is one
+    ``Field.dot`` over the terms a_e P^e[g], with the precision and the
+    grade order of the skew ``+`` taken term by term in e: a grade whose
+    partial sum is zero to its precision is dropped, and starts afresh, at
+    the end of the order, if a later term brings it back.  A partial sum
+    can cancel only where two of its terms share the least valuation, so
+    only then is it computed.
+    """
+    f = a.field
+    # grade -> [terms, precision, least valuation, how many terms have it]
+    sums = {}
+    gprec = inf
+    for e, c in sorted(a.coeffs.items()):
+        pw = power(e)
+        gprec = min(gprec, _p(pw.gprec))
+        for g, s in pw.terms.items():
+            v = min(s.coeffs)
+            terms, prec, low, count = sums.get(g) or ([], inf, v, 0)
+            terms.append((1, {0: c}, s.coeffs))
+            prec = min(prec, _p(s.prec))
+            count = 1 if v < low else count + (v == low)
+            sums[g] = [terms, prec, min(low, v), count]
+            if count > 1 and not f.dot(terms, _unp(prec)):
+                del sums[g]
+    acc = SkewSeries(
+        pw.rule, {g: sum_filed(f, entry[:2]) for g, entry in sums.items()}, _unp(gprec)
+    )
     if a.prec is not None:
         acc = _tail_cap(acc, a.prec, base())
     return acc
@@ -415,14 +446,20 @@ def build_from_rule(field, coeffs, t2_prec=None):
 
 
 def skew_mul(u, v, cap=None):
+    """The product u v: every piece c_m Phi^m(c'_l)[g] is filed under its
+    grade m + l + g, and each grade is one ``Field.dot`` over its pieces at
+    the least precision among them.  A product of nonzero series is nonzero
+    to its precision (the lowest terms multiply to a nonzero term), so no
+    piece is zero to its precision and every piece counts."""
     u._check(v)
     rule = u.rule
+    f = rule.field
     vfu = u.val_floor()
     vfv = v.val_floor()
     bound = min(_p(u.gprec) + vfv, _p(v.gprec) + vfu, _p(cap))
     if bound == inf and not (u.gprec is None and v.gprec is None):
         bound = DEFAULT_PRECISION
-    out = {}
+    pieces = {}
     eff = bound
     for m, cu in u.terms.items():
         for l, cv in v.terms.items():
@@ -430,20 +467,16 @@ def skew_mul(u, v, cap=None):
             if base >= eff:
                 continue
             if m == 0:
-                w = cu * cv
-                if not w.is_zero():
-                    out[base] = out[base] + w if base in out else w
-                continue
-            budget = _unp(eff - base) if eff != inf else None
-            tw = rule.twist(cv, m, budget)
-            if tw.gprec is not None:
-                eff = min(eff, base + tw.gprec)
-            for g, sg in tw.terms.items():
-                j = base + g
-                piece = cu * sg
-                if piece.is_zero():
-                    continue
-                out[j] = out[j] + piece if j in out else piece
+                tw = {0: cv}
+            else:
+                budget = _unp(eff - base) if eff != inf else None
+                twisted = rule.twist(cv, m, budget)
+                if twisted.gprec is not None:
+                    eff = min(eff, base + twisted.gprec)
+                tw = twisted.terms
+            for g, sg in tw.items():
+                file_product(pieces, base + g, cu, sg)
+    out = {j: sum_filed(f, entry) for j, entry in pieces.items() if j < eff}
     return SkewSeries(rule, out, _unp(eff))
 
 

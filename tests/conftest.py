@@ -6,9 +6,16 @@ seed written in the test.
 
 from fractions import Fraction
 
+from hypothesis import settings
+
 from skewlocal.coeff import Field
 from skewlocal.series import LaurentSeries
 from skewlocal.skew import build_from_invariants
+
+# a failing property example prints its @reproduce_failure blob; every
+# other setting stays at the default or at what each test sets
+settings.register_profile("skewlocal", print_blob=True)
+settings.load_profile("skewlocal")
 
 Q = Field.rationals()
 

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from skewlocal.coeff import Field
+from skewlocal.coeff import Field, _is_prime
 from skewlocal.errors import (
     DivisionByZero,
     InadmissibleSet,
@@ -247,6 +247,46 @@ def test_is_dth_power_large_prime_is_bounded(p):
             seen.add(ok)
         assert seen == ({True, False} if g > 1 else {True})
     assert time.perf_counter() - start < 5.0
+
+
+def _prime_by_trial_division(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n) != _prime_by_trial_division(n)] == []
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    """Each is a strong pseudoprime to the first few prime bases: 2047 to
+    base 2, 3215031751 to 2, 3, 5 and 7, 3825123056546413051 to every prime
+    base up to 23."""
+    for n in (2047, 3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+    assert _is_prime(2**61 - 1) and _is_prime(1000000000039)
+
+
+def test_prime_field_of_a_large_prime_is_bounded():
+    """Trial division up to sqrt(2^61) did not return; Miller-Rabin with
+    the first 13 prime bases decides n below 3.3 * 10^24, and above it a
+    number with no small factor is a typed error, not a long search."""
+    start = time.perf_counter()
+    F = Field.prime_field(2**61 - 1)
+    assert F.mul(F.from_int(2**60), F.from_int(2)) == 1
+    with pytest.raises(ValueError):
+        Field.prime_field(2**61 + 1)
+    with pytest.raises(ParseError):
+        Field.from_text("F%d" % (2**61 + 1))
+    with pytest.raises(UnsupportedField):
+        Field.prime_field(2**89 - 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_is_dth_power_cyclotomic_unsupported():

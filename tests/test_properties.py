@@ -1,13 +1,15 @@
 """Property tests for composition, the closed-form elementary inverse and
 composition, the normal form reduction, the windowed skew solvers, the
-integer series product, the operator product and the shared Newton inverse,
-checked against independent references; for operator products and inverses
-against completions of their truncated tails; and for negative twists
-against the ring axioms."""
+integer series product, the operator product, the shared Newton inverse and
+the sum-of-products kernel ``Field.dot`` with the skew products, twists and
+operator products built on it, checked against independent references; for
+operator products and inverses against completions of their truncated
+tails; and for negative twists against the ring axioms."""
 
 from fractions import Fraction
 from math import inf
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +28,9 @@ from skewlocal.series import DEFAULT_PRECISION, LaurentSeries
 from skewlocal.skew import (
     CommutationRule,
     SkewSeries,
+    _evaluate,
+    _power,
+    _tail_cap,
     change_t1,
     change_t2,
     skew_invert,
@@ -564,8 +569,10 @@ def operators(draw, field):
 
 
 @settings(max_examples=150, deadline=3000, database=None)
-@given(st.sampled_from([Q, C3, F7]), st.data())
+@given(st.sampled_from([Q, C3, F7, Field.prime_field(2)]), st.data())
 def test_psido_compose_matches_per_pair_leibniz_loop(field, more):
+    """Over F_2 binomials such as C(2, 1) vanish, and a term of two exact
+    factors then is an exact zero that neither loop files."""
     u = more.draw(operators(field))
     v = more.draw(operators(field))
     depth = more.draw(st.one_of(st.none(), st.integers(1, 6)))
@@ -573,6 +580,23 @@ def test_psido_compose_matches_per_pair_leibniz_loop(field, more):
     ref = _reference_psido_compose(u, v, depth)
     assert got == ref
     assert got.format() == ref.format()
+    assert _layout(got) == _layout(ref)
+
+
+def test_psido_compose_skips_exact_zero_terms():
+    """Over F_2 the Leibniz terms with binomial C(2, 1) = 2 of exact factors
+    are exact zeros: filing them would put D^0 before D^-1."""
+    F2 = Field.prime_field(2)
+
+    def op(coeffs):
+        return PsiDO(F2, {k: LaurentSeries.make(F2, c) for k, c in coeffs.items()})
+
+    u = op({2: {-2: 1, 1: 1}, 0: {1: 1, 2: 1}, -2: {0: 1}})
+    v = op({0: {-1: 1}, -1: {-1: 1, 2: 1}, -3: {-1: 1, 1: 1}})
+    got = psido_compose(u, v, 4)
+    ref = _reference_psido_compose(u, v, 4)
+    assert got == ref
+    assert _layout(got) == _layout(ref)
 
 
 # -- the shared Newton inverse against the geometric loops it replaced -------
@@ -832,3 +856,288 @@ def test_negative_twists_keep_the_ring_axioms(data, more):
     ui = skew_invert(u, cap)
     assert skew_mul(u, ui, cap).agrees(rule.one(), cap)
     assert skew_mul(ui, u, cap).agrees(rule.one(), cap)
+
+
+# -- the fused sum-of-products kernel against per-term loops ------------------
+
+
+def _reference_dot(field, terms, bound):
+    """sum m a b over terms (m, a, b): each product by ``Field.mul`` and
+    ``Field.add`` per coefficient pair, scaled by ``Field.mul_int`` and added
+    into the running sum the way the series ``+`` adds, deleting an exponent
+    whose sum is zero and appending one that comes back."""
+    f = field
+    run = {}
+    for m, a, b in terms:
+        for e, c in _reference_mul(LaurentSeries(f, a), LaurentSeries(f, b)).coeffs.items():
+            if bound is not None and e >= bound:
+                continue
+            c = f.mul_int(c, m)
+            if e in run:
+                c = f.add(run[e], c)
+                if f.is_zero(c):
+                    del run[e]
+                else:
+                    run[e] = c
+            elif not f.is_zero(c):
+                run[e] = c
+    return run
+
+
+def _other_unit(field, draw):
+    """A unit that changes how a cyclotomic product is written before its
+    reduction modulo Phi_n: zeta, or a random nonzero element."""
+    if field.kind == "cyclotomic" and draw(st.booleans()):
+        return field.zeta()
+    return draw(elements(field, nonzero=True))
+
+
+@st.composite
+def dot_terms(draw):
+    """1 to 8 terms over one of the 11 kernel fields, with numerators up to
+    2^300, integer multipliers, and terms that cancel an earlier one exactly:
+    (m, a u, -b u^-1) against (m, a, b), written differently whenever u is
+    not rational."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    f = field
+    terms = []
+    for _ in range(draw(st.integers(1, 8))):
+        if terms and draw(st.integers(0, 2)) == 0:
+            m, a, b = draw(st.sampled_from(terms))
+            u = _other_unit(f, draw)
+            ui = f.inv(u)
+            terms.append((m, {e: f.mul(x, u) for e, x in a.items()},
+                          {e: f.neg(f.mul(y, ui)) for e, y in b.items()}))
+            continue
+        m = draw(st.sampled_from([1, 1, 1, -1, 2, 3, -6, 7]))
+
+        def side():
+            size = draw(st.sampled_from([0, 1, 2, 5]))
+            coeffs = draw(st.dictionaries(st.integers(-4, 4), tall_elements(field), max_size=size))
+            return {e: c for e, c in coeffs.items() if not f.is_zero(c)}
+
+        terms.append((m, side(), side()))
+    bound = draw(st.one_of(st.none(), st.integers(-8, 8)))
+    return field, terms, bound
+
+
+@settings(max_examples=400, deadline=3000, database=None)
+@given(dot_terms())
+def test_dot_matches_per_term_loop(data):
+    field, terms, bound = data
+    got = field.dot(terms, bound)
+    ref = _reference_dot(field, terms, bound)
+    assert got == ref
+    assert list(got) == list(ref)
+
+
+@settings(max_examples=80, deadline=3000, database=None)
+@given(
+    st.sampled_from([Field.cyclotomic(n) for n in (1, 2, 3, 4, 5, 7, 12)]),
+    st.integers(1, 8),
+    st.integers(1, 6),
+    st.sampled_from([1, 2, 64, 300]),
+    st.data(),
+)
+def test_dot_at_the_slot_bound(field, pairs, m, bits, more):
+    """Every coordinate at +-(2^bits - 1), the same m-term pair summed
+    ``pairs`` times: with one sign throughout, the middle exponent of a
+    degree-one field sums pairs * m equal products, the largest coordinate
+    the kernel's width allows for; the drawn signs push the reduction
+    modulo Phi_n to its largest growth elsewhere."""
+    top = (1 << bits) - 1
+    d = field.degree
+    if more.draw(st.booleans()):
+        signs = [more.draw(st.booleans()) for _ in range(2 * d)]
+    else:
+        signs = [more.draw(st.booleans())] * (2 * d)
+    a_el = tuple(Fraction(-top if s else top) for s in signs[:d])
+    b_el = tuple(Fraction(-top if s else top) for s in signs[d:])
+    a = {e: a_el for e in range(m)}
+    b = {e: b_el for e in range(m)}
+    terms = [(1, a, b)] * pairs
+    assert field.dot(terms) == _reference_dot(field, terms, None)
+
+
+def _layout(x):
+    """The key order of a skew series or operator and of every coefficient
+    series in it."""
+    entries = x.terms if isinstance(x, SkewSeries) else x.coeffs
+    return [(k, list(s.coeffs)) for k, s in entries.items()]
+
+
+def _reference_skew_mul(u, v, cap=None):
+    """skew_mul as one series product per piece, each added into its grade
+    by the series ``+``."""
+    rule = u.rule
+    bound = min(
+        inf if u.gprec is None else u.gprec + v.val_floor(),
+        inf if v.gprec is None else v.gprec + u.val_floor(),
+        inf if cap is None else cap,
+    )
+    if bound == inf and not (u.gprec is None and v.gprec is None):
+        bound = DEFAULT_PRECISION
+    out = {}
+    eff = bound
+    for m, cu in u.terms.items():
+        for l, cv in v.terms.items():
+            base = m + l
+            if base >= eff:
+                continue
+            if m == 0:
+                tw = {0: cv}
+            else:
+                twisted = rule.twist(cv, m, None if eff == inf else int(eff - base))
+                if twisted.gprec is not None:
+                    eff = min(eff, base + twisted.gprec)
+                tw = twisted.terms
+            for g, sg in tw.items():
+                piece = _reference_mul(cu, sg)
+                if piece.is_zero():
+                    continue
+                j = base + g
+                out[j] = out[j] + piece if j in out else piece
+    return SkewSeries(rule, out, None if eff == inf else int(eff))
+
+
+@st.composite
+def skew_operands(draw, rule, exact):
+    """An element of grades -1..3 with coefficients of t1-exponents -1..3,
+    exact or known to a t1- and a t2-precision."""
+    field = rule.field
+    prec = None if exact else draw(st.one_of(st.none(), st.integers(1, 6)))
+    terms = {}
+    for j in draw(st.lists(st.integers(-1, 3), min_size=1, max_size=3, unique=True)):
+        terms[j] = LaurentSeries(field, draw(series_data(field, -1, 3, prec)), prec)
+    gprec = None if exact else draw(st.one_of(st.none(), st.integers(1, 5)))
+    return rule.element(terms, gprec)
+
+
+@settings(max_examples=150, deadline=10000, database=None)
+@given(rule_data(), st.data())
+def test_skew_mul_matches_per_piece_loop(data, more):
+    exact = data[2] is None and more.draw(st.booleans())
+    template = _rule(data)
+    u = more.draw(skew_operands(template, exact))
+    v = more.draw(skew_operands(template, exact))
+    cap = more.draw(st.integers(1, 5))
+
+    def run(fn):
+        rule = _rule(data)
+        return _outcome(
+            fn, SkewSeries(rule, u.terms, u.gprec), SkewSeries(rule, v.terms, v.gprec), cap
+        )
+
+    got, ref = run(skew_mul), run(_reference_skew_mul)
+    assert got == ref
+    if not isinstance(ref, type):
+        assert list(got.terms) == list(ref.terms)
+        assert _layout(got) == _layout(ref)
+
+
+def _reference_evaluate(a, power, base):
+    """_evaluate as one scaled power per term of a, summed by the skew ``+``."""
+    f = a.field
+    acc = None
+    for e, c in sorted(a.coeffs.items()):
+        pw = power(e)
+        scaled = SkewSeries(
+            pw.rule,
+            {j: LaurentSeries(f, {x: f.mul(c, y) for x, y in s.coeffs.items()}, s.prec)
+             for j, s in pw.terms.items()},
+            pw.gprec,
+        )
+        acc = scaled if acc is None else acc + scaled
+    if a.prec is not None:
+        acc = _tail_cap(acc, a.prec, base())
+    return acc
+
+
+@settings(max_examples=300, deadline=5000, database=None)
+@given(st.sampled_from([Q, C3, F7]), st.data())
+def test_evaluate_matches_scale_and_add_fold(field, more):
+    """Arbitrary skew elements stand in for the powers, with coefficients
+    from a small pool so that partial sums cancel, to their precision, in
+    whole grades: the fold drops such a grade and starts it again later."""
+    rule = CommutationRule(field, {0: LaurentSeries.variable(field)})
+    pool = [field.one(), field.from_int(-1), field.from_int(2)]
+    if field is C3:
+        pool.append(field.zeta())
+    prec = more.draw(st.one_of(st.none(), st.integers(2, 6)))
+    a = LaurentSeries(
+        field,
+        more.draw(st.dictionaries(st.integers(-1, 4), st.sampled_from(pool), min_size=1, max_size=5)),
+        prec,
+    )
+    if a.is_zero():
+        return
+    powers = {}
+    for e in a.coeffs:
+        terms = {}
+        for j in more.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)):
+            sprec = more.draw(st.one_of(st.none(), st.integers(1, 4)))
+            coeffs = more.draw(st.dictionaries(st.integers(0, 3), st.sampled_from(pool), max_size=2))
+            terms[j] = LaurentSeries(field, coeffs, sprec)
+        powers[e] = rule.element(terms, more.draw(st.one_of(st.none(), st.integers(1, 4))))
+        if not powers[e].terms:
+            return
+    base = rule.element({0: LaurentSeries.variable(field), 1: LaurentSeries.const(field, field.one())})
+    got = _evaluate(a, powers.__getitem__, None, lambda: base)
+    ref = _reference_evaluate(a, powers.__getitem__, lambda: base)
+    assert got == ref
+    assert list(got.terms) == list(ref.terms)
+    assert _layout(got) == _layout(ref)
+
+
+@pytest.mark.parametrize(
+    "powers",
+    [
+        # grade 0 cancels to its precision after two terms and comes back
+        # after grade 1, with a precision of its own
+        [({0: ({0: 1}, 5)}, None), ({0: ({0: -1}, 3), 1: ({0: 2}, None)}, None),
+         ({0: ({1: 1}, 4)}, None)],
+        # the least valuation 0 cancels in the second term; the third term
+        # has a higher valuation but lowers the precision below t1^2
+        [({0: ({0: 1, 1: 1, 2: 1}, 5)}, None), ({0: ({0: -1}, 5)}, None),
+         ({0: ({1: -1}, 2)}, None), ({0: ({0: 1}, 6)}, 4)],
+    ],
+)
+def test_evaluate_drops_and_restarts_a_cancelled_grade(powers):
+    """The skew ``+`` drops a grade whose partial sum is zero to its
+    precision; _evaluate drops it too, and starts it afresh, at the end of
+    the order, when a later term brings it back."""
+    rule = CommutationRule(Q, {0: LaurentSeries.variable(Q)})
+    pw = {
+        e: rule.element(
+            {j: LaurentSeries.make(Q, c, prec) for j, (c, prec) in terms.items()}, gprec
+        )
+        for e, (terms, gprec) in enumerate(powers)
+    }
+    a = LaurentSeries(Q, {e: Q.one() for e in pw})
+    got = _evaluate(a, pw.__getitem__, None, None)
+    ref = _reference_evaluate(a, pw.__getitem__, None)
+    assert got == ref
+    assert _layout(got) == _layout(ref)
+
+
+@settings(max_examples=120, deadline=10000, database=None)
+@given(rule_data(), st.sampled_from([-1, 1, 2]), st.integers(1, 5), st.data())
+def test_twist_matches_scale_and_add_loop(data, m, cap, more):
+    field, _, t1_prec, _ = data
+    a = LaurentSeries(field, more.draw(series_data(field, -1, 4, t1_prec)), t1_prec)
+    if a.is_zero():
+        return
+
+    def reference(rule):
+        pows = rule._pow_cache.setdefault(m, {})
+
+        def base():
+            return rule.phi_image(m, cap)
+
+        return _reference_evaluate(a, lambda e: _power(rule, pows, e, cap, base), base)
+
+    got = _outcome(_rule(data).twist, a, m, cap)
+    ref = _outcome(reference, _rule(data))
+    assert got == ref
+    if not isinstance(ref, type):
+        assert _layout(got) == _layout(ref)
