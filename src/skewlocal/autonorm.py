@@ -157,27 +157,25 @@ def _elementary_compose(g, k, b, prec):
 
     By the binomial theorem (t + b t^k)^e = sum_j C(e, j) b^j t^(e + j(k - 1)),
     so g(t + b t^k) = sum_j b^j t^(j(k - 1)) sum_(e >= j) C(e, j) g_e t^e:
-    integer-weighted, shifted copies of g and no series product (Brent and
-    Kung, J. ACM 25, 1978).  This is the series
+    integer-weighted, shifted copies of g, summed by one ``Field.dot`` and
+    no series product (Brent and Kung, J. ACM 25, 1978).  This is the series
     ``g.compose(LaurentSeries(field, {1: 1, k: b}, prec))`` returns,
     coefficients and precision.
     """
     field = g.field
     top = min(_p(g.prec), _p(prec))
     terms = [(e, c) for e, c in sorted(g.coeffs.items()) if e < top]
-    out = dict(terms)
     bj = field.one()
+    levels = [(1, {0: bj}, dict(terms))]
     j = 1
     while True:
         # e >= j and e + j(k - 1) < top: both tighten as j grows
         shift = j * (k - 1)
         terms = [(e, c) for e, c in terms if e >= j and e + shift < top]
         if not terms:
-            return LaurentSeries(field, out, _unp(top))
+            return LaurentSeries(field, field.dot(levels, _unp(top)), _unp(top))
         bj = field.mul(bj, b)
-        level = {e + shift: field.mul_int(c, comb(e, j)) for e, c in terms}
-        for e, c in field.convolve({0: bj}, level).items():
-            out[e] = field.add(out[e], c) if e in out else c
+        levels.append((1, {0: bj}, {e + shift: field.mul_int(c, comb(e, j)) for e, c in terms}))
         j += 1
 
 

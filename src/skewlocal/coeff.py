@@ -8,10 +8,15 @@ Elements are plain payloads and all arithmetic goes through the owning
   coordinates with respect to ``1, zeta, ..., zeta^(deg-1)``
 * prime field F_p: ``int`` normalized to ``0..p-1``
 
-:meth:`Field.dot` is the one exact sum-of-products kernel: every product
-of series (``convolve`` is its one-term call), every grade of a skew
-product, every twist a(P) = sum a_e P^e and every D-exponent of an operator
-product is one call, on integers, with one division per output exponent.
+:meth:`Field.dot` is the one exact sum-of-products kernel: one call per
+output key, on integers, with one division per output exponent.  A product
+of two series (``convolve``, its one-term call) and the binomial levels of
+``autonorm._elementary_compose`` call it directly.  Every other sum of
+products is filed by ``series.file_product`` and summed by
+``series.sum_filed`` at the least precision of its products: each grade of
+a skew product, of a twist or substitution a(P) = sum a_e P^e, of the
+``change_t2`` solve and of a parsed rule product, each D-exponent of an
+operator product, and each series composition.
 
 :func:`format_sum` is the one printer of sparse sums: cyclotomic elements
 here, and Laurent series, skew series, operators and Dubrovin words.
@@ -69,18 +74,54 @@ def _is_prime(n):
 
 
 def _prime_factors(m):
-    """Distinct prime factors of m >= 1, by trial division."""
-    out = []
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            out.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        out.append(m)
-    return out
+    """Distinct prime factors of 1 <= m < _MR_LIMIT, in increasing order:
+    trial division by q < 100, then Pollard-Brent rho on the cofactor, each
+    factor tested with ``_is_prime``."""
+    out = set()
+    for q in range(2, 100):
+        while m % q == 0:
+            out.add(q)
+            m //= q
+    rest = [m] if m > 1 else []
+    while rest:
+        n = rest.pop()
+        if _is_prime(n):
+            out.add(n)
+        else:
+            d = _rho(n)
+            rest += [d, n // d]
+    return sorted(out)
+
+
+def _rho(n):
+    """A proper factor of a composite n with no prime factor below 100, by
+    Pollard's rho with Brent's cycle search and batched gcds (Brent, BIT 20,
+    1980); x -> x^2 + c for c = 1, 2, ... until one splits n."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: step from its start one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def _prime_root(a, q, p):

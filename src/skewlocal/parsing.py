@@ -11,7 +11,7 @@ from .coeff import Field
 from .dubrovin import Descriptor, HeisenbergElement
 from .errors import ParseError
 from .psido import PsiDO, psido_compose, psido_invert
-from .series import LaurentSeries, _p, _unp
+from .series import LaurentSeries, _p, _unp, file_product, sum_filed
 from .skew import CommutationRule, build_from_rule
 
 _OPS = set("+-*/^(),=")
@@ -200,73 +200,24 @@ def _o_shape(ast):
     return None, None
 
 
-def _generic_power(dom, v, k, pos):
-    if k < 0:
-        v = dom.invert(v, pos)
-        k = -k
-    out = dom.one()
-    for _ in range(k):
-        out = dom.mul(out, v)
-    return out
-
-
-class ScalarDomain:
-    """Field elements; `zeta` names the root of unity of a cyclotomic field."""
+class _Domain:
+    """What the evaluation domains share: values lifted from the field
+    (``lift``), the ring operators, division by an inverse, integer powers
+    by repeated products, the name `zeta` of a cyclotomic field's root of
+    unity and no precision markers.  A domain overrides what differs."""
 
     def __init__(self, field):
         self.field = field
 
     def from_int(self, n):
-        return self.field.from_int(n)
+        return self.lift(self.field.from_int(n))
 
     def one(self):
-        return self.field.one()
+        return self.from_int(1)
 
     def atom(self, name, pos):
         if name == "zeta" and self.field.kind == "cyclotomic":
-            return self.field.zeta()
-        raise ParseError("unknown name %r at position %d" % (name, pos))
-
-    def add(self, a, b):
-        return self.field.add(a, b)
-
-    def neg(self, a):
-        return self.field.neg(a)
-
-    def mul(self, a, b):
-        return self.field.mul(a, b)
-
-    def div(self, a, b):
-        return self.field.div(a, b)
-
-    def invert(self, a, pos):
-        return self.field.inv(a)
-
-    def power(self, v, k, pos):
-        return self.field.pow(v, k)
-
-    def o_marker(self, ast, pos):
-        raise ParseError("precision markers make no sense here (position %d)" % pos)
-
-
-class SeriesDomain:
-    """Laurent series in one variable."""
-
-    def __init__(self, field, var="t"):
-        self.field = field
-        self.var = var
-
-    def from_int(self, n):
-        return LaurentSeries.const(self.field, self.field.from_int(n))
-
-    def one(self):
-        return LaurentSeries.const(self.field, self.field.one())
-
-    def atom(self, name, pos):
-        if name == self.var:
-            return LaurentSeries.variable(self.field)
-        if name == "zeta" and self.field.kind == "cyclotomic":
-            return LaurentSeries.const(self.field, self.field.zeta())
+            return self.lift(self.field.zeta())
         raise ParseError("unknown name %r at position %d" % (name, pos))
 
     def add(self, a, b):
@@ -279,13 +230,60 @@ class SeriesDomain:
         return a * b
 
     def div(self, a, b):
-        return a / b
+        return self.mul(a, self.invert(b, 0))
+
+    def power(self, v, k, pos):
+        if k < 0:
+            v = self.invert(v, pos)
+            k = -k
+        out = self.one()
+        for _ in range(k):
+            out = self.mul(out, v)
+        return out
+
+    def o_marker(self, ast, pos):
+        raise ParseError("precision markers make no sense here (position %d)" % pos)
+
+
+class ScalarDomain(_Domain):
+    """Field elements."""
+
+    def lift(self, c):
+        return c
+
+    def add(self, a, b):
+        return self.field.add(a, b)
+
+    def neg(self, a):
+        return self.field.neg(a)
+
+    def mul(self, a, b):
+        return self.field.mul(a, b)
+
+    def invert(self, a, pos):
+        return self.field.inv(a)
+
+    def power(self, v, k, pos):
+        return self.field.pow(v, k)
+
+
+class SeriesDomain(_Domain):
+    """Laurent series in one variable."""
+
+    def __init__(self, field, var="t"):
+        super().__init__(field)
+        self.var = var
+
+    def lift(self, c):
+        return LaurentSeries.const(self.field, c)
+
+    def atom(self, name, pos):
+        if name == self.var:
+            return LaurentSeries.variable(self.field)
+        return super().atom(name, pos)
 
     def invert(self, a, pos):
         return a.mul_invert()
-
-    def power(self, v, k, pos):
-        return _generic_power(self, v, k, pos)
 
     def o_marker(self, ast, pos):
         name, exp = _o_shape(ast)
@@ -296,7 +294,7 @@ class SeriesDomain:
         return LaurentSeries.zero(self.field, exp)
 
 
-class RuleDomain:
+class RuleDomain(_Domain):
     """Two-variable series sum_j c_j(t1) t2^j, coefficients written on the
     left; this is notation for the coefficient map, so evaluation commutes."""
 
@@ -308,26 +306,15 @@ class RuleDomain:
             self.coeffs = {j: s for j, s in coeffs.items() if not s.is_exact_zero()}
             self.gprec = gprec
 
-    def __init__(self, field):
-        self.field = field
-
-    def _const(self, s):
-        return RuleDomain.Value({0: s})
-
-    def from_int(self, n):
-        return self._const(LaurentSeries.const(self.field, self.field.from_int(n)))
-
-    def one(self):
-        return self._const(LaurentSeries.const(self.field, self.field.one()))
+    def lift(self, c):
+        return RuleDomain.Value({0: LaurentSeries.const(self.field, c)})
 
     def atom(self, name, pos):
         if name == "t1":
-            return self._const(LaurentSeries.variable(self.field))
+            return RuleDomain.Value({0: LaurentSeries.variable(self.field)})
         if name == "t2":
             return RuleDomain.Value({1: LaurentSeries.const(self.field, self.field.one())})
-        if name == "zeta" and self.field.kind == "cyclotomic":
-            return self._const(LaurentSeries.const(self.field, self.field.zeta()))
-        raise ParseError("unknown name %r at position %d" % (name, pos))
+        return super().atom(name, pos)
 
     def add(self, a, b):
         out = dict(a.coeffs)
@@ -339,12 +326,11 @@ class RuleDomain:
         return RuleDomain.Value({j: -s for j, s in a.coeffs.items()}, a.gprec)
 
     def mul(self, a, b):
-        out = {}
+        sums = {}
         for j, s in a.coeffs.items():
             for l, w in b.coeffs.items():
-                m = j + l
-                p = s * w
-                out[m] = out[m] + p if m in out else p
+                file_product(sums, j + l, s, w)
+        out = {m: sum_filed(self.field, entry) for m, entry in sums.items()}
         gp = None
         if a.gprec is not None:
             gp = a.gprec + (min(b.coeffs) if b.coeffs else 0)
@@ -353,73 +339,46 @@ class RuleDomain:
             gp = g2 if gp is None else min(gp, g2)
         return RuleDomain.Value(out, gp)
 
-    def div(self, a, b):
-        return self.mul(a, self.invert(b, 0))
-
     def invert(self, a, pos):
         if list(a.coeffs) != [0]:
             raise ParseError(
                 "only t2-free factors can be inverted in a rule (position %d)" % pos
             )
-        return self._const(a.coeffs[0].mul_invert())
-
-    def power(self, v, k, pos):
-        return _generic_power(self, v, k, pos)
+        return RuleDomain.Value({0: a.coeffs[0].mul_invert()})
 
     def o_marker(self, ast, pos):
         name, exp = _o_shape(ast)
         if name == "t2":
             return RuleDomain.Value({}, exp)
         if name == "t1":
-            return self._const(LaurentSeries.zero(self.field, exp))
+            return RuleDomain.Value({0: LaurentSeries.zero(self.field, exp)})
         raise ParseError(
             "precision marker must be O(t1^N) or O(t2^N) (position %d)" % pos
         )
 
 
-class PsidoDomain:
+class PsidoDomain(_Domain):
     """Operators in X and D; products go through the composition rule."""
 
     def __init__(self, field, depth=None):
-        self.field = field
+        super().__init__(field)
         self.depth = depth
 
-    def from_int(self, n):
-        return PsiDO.from_series(
-            self.field, LaurentSeries.const(self.field, self.field.from_int(n))
-        )
-
-    def one(self):
-        return PsiDO.one(self.field)
+    def lift(self, c):
+        return PsiDO.from_series(self.field, LaurentSeries.const(self.field, c))
 
     def atom(self, name, pos):
         if name == "X":
             return PsiDO.x(self.field)
         if name == "D":
             return PsiDO.d(self.field)
-        if name == "zeta" and self.field.kind == "cyclotomic":
-            return PsiDO.from_series(
-                self.field, LaurentSeries.const(self.field, self.field.zeta())
-            )
-        raise ParseError("unknown name %r at position %d" % (name, pos))
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
+        return super().atom(name, pos)
 
     def mul(self, a, b):
         return psido_compose(a, b, self.depth)
 
-    def div(self, a, b):
-        return self.mul(a, self.invert(b, 0))
-
     def invert(self, a, pos):
         return psido_invert(a, self.depth)
-
-    def power(self, v, k, pos):
-        return _generic_power(self, v, k, pos)
 
     def o_marker(self, ast, pos):
         name, exp = _o_shape(ast)
@@ -428,10 +387,11 @@ class PsidoDomain:
         return PsiDO.zero(self.field, exp)
 
 
-class HeisDomain:
-    """Words in x, y, z over a descriptor."""
+class HeisDomain(_Domain):
+    """Words in x, y, z over a descriptor; the word grammar has no zeta."""
 
     def __init__(self, descriptor):
+        super().__init__(descriptor.field)
         self.descriptor = descriptor
 
     def from_int(self, n):
@@ -439,30 +399,14 @@ class HeisDomain:
             self.descriptor, coeff=self.descriptor.from_int(n)
         )
 
-    def one(self):
-        return HeisenbergElement.one(self.descriptor)
-
     def atom(self, name, pos):
-        if name == "x":
-            return HeisenbergElement.x(self.descriptor)
-        if name == "y":
-            return HeisenbergElement.y(self.descriptor)
-        if name == "z":
-            return HeisenbergElement.z(self.descriptor)
+        if name in ("x", "y", "z"):
+            return getattr(HeisenbergElement, name)(self.descriptor)
         if name == "u" and self.descriptor.series:
             return HeisenbergElement.monomial(
                 self.descriptor, coeff=LaurentSeries.variable(self.descriptor.field)
             )
         raise ParseError("unknown name %r at position %d" % (name, pos))
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def _as_scalar(self, v):
         if list(v.levels) == [0] and list(v.levels[0]) == [(0, 0)]:
@@ -482,12 +426,6 @@ class HeisDomain:
                 "negative powers are not available in this algebra (position %d)" % pos
             )
         return HeisenbergElement.monomial(self.descriptor, coeff=self.descriptor.inv(c))
-
-    def power(self, v, k, pos):
-        return _generic_power(self, v, k, pos)
-
-    def o_marker(self, ast, pos):
-        raise ParseError("precision markers make no sense here (position %d)" % pos)
 
 
 def _run(text, dom):

@@ -54,7 +54,8 @@ def unit_inverse(q, one, depth, cut, val):
 
 def _mul_prec(a, b):
     """The precision of the product of series a and b, +inf when exact."""
-    return min(_p(a.prec) + b.val_floor(), _p(b.prec) + a.val_floor())
+    prec = inf if a.prec is None else a.prec + b.val_floor()
+    return prec if b.prec is None else min(prec, b.prec + a.val_floor())
 
 
 def _series(field, coeffs, prec):
@@ -68,7 +69,9 @@ def _series(field, coeffs, prec):
 
 def file_product(sums, key, a, b, m=1):
     """File the product m a b of two series under key in sums, which maps a
-    key to [the terms of one ``Field.dot``, the least precision filed]."""
+    key to [the terms of one ``Field.dot``, the least precision filed]: a
+    sum is known to the least precision of its products, and below cap at
+    most when its entry starts as [[], cap]."""
     prec = _mul_prec(a, b)
     entry = sums.get(key)
     if entry is None:
@@ -318,16 +321,17 @@ class LaurentSeries:
         pos_cache = {}
         neg_cache = {}
         sinv = None
-        acc = LaurentSeries.zero(f)
-        for e in sorted(self.coeffs):
+        # one sum of products a_e s^e, known below cap at most
+        sums = {0: [[], cap]}
+        for e, c in sorted(self.coeffs.items()):
             if e >= 0:
                 pw = s._int_power(e, pos_cache, bound)
             else:
                 if sinv is None:
                     sinv = s.mul_invert()
                 pw = sinv._int_power(-e, neg_cache)
-            acc = acc + pw.scale(self.coeffs[e])
-        return acc.truncate(_unp(min(cap, _p(acc.prec))))
+            file_product(sums, 0, _series(f, {0: c}, None), pw)
+        return sum_filed(f, sums[0])
 
     def comp_invert(self, target_prec=None):
         """Compositional inverse of a series with valuation exactly 1."""

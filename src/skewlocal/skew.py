@@ -27,6 +27,7 @@ from .series import (
     DEFAULT_PRECISION,
     LaurentSeries,
     _p,
+    _series,
     _unp,
     file_product,
     sum_filed,
@@ -381,32 +382,21 @@ def _evaluate(a, power, cap, base):
     """a(P) = sum a_e P^e for a coefficient series a with at least one term.
 
     power(e) is P^e to grade cap; base() is P, read only to cap the
-    coefficient precisions when a is truncated.  Each grade g is one
-    ``Field.dot`` over the terms a_e P^e[g], with the precision and the
-    grade order of the skew ``+`` taken term by term in e: a grade whose
-    partial sum is zero to its precision is dropped, and starts afresh, at
-    the end of the order, if a later term brings it back.  A partial sum
-    can cancel only where two of its terms share the least valuation, so
-    only then is it computed.
+    coefficient precisions when a is truncated.  Each product a_e P^e[g] is
+    filed under its grade g, and each grade is one ``Field.dot`` at the
+    least precision of its products.
     """
     f = a.field
-    # grade -> [terms, precision, least valuation, how many terms have it]
     sums = {}
     gprec = inf
     for e, c in sorted(a.coeffs.items()):
         pw = power(e)
         gprec = min(gprec, _p(pw.gprec))
+        ce = _series(f, {0: c}, None)
         for g, s in pw.terms.items():
-            v = min(s.coeffs)
-            terms, prec, low, count = sums.get(g) or ([], inf, v, 0)
-            terms.append((1, {0: c}, s.coeffs))
-            prec = min(prec, _p(s.prec))
-            count = 1 if v < low else count + (v == low)
-            sums[g] = [terms, prec, min(low, v), count]
-            if count > 1 and not f.dot(terms, _unp(prec)):
-                del sums[g]
+            file_product(sums, g, ce, s)
     acc = SkewSeries(
-        pw.rule, {g: sum_filed(f, entry[:2]) for g, entry in sums.items()}, _unp(gprec)
+        pw.rule, {g: sum_filed(f, entry) for g, entry in sums.items() if g < gprec}, _unp(gprec)
     )
     if a.prec is not None:
         acc = _tail_cap(acc, a.prec, base())
@@ -640,17 +630,19 @@ def change_t2(rule, w_el, cap=None):
     for j in range(1, cap):
         phiw = rule._apply_phi(phiw, cap - j)
         ns.append(skew_mul(ns[-1], phiw, cap - j))
+    one = LaurentSeries.const(rule.field, rule.field.one())
+    sums = {}
     out = {}
     for g in range(0, cap):
-        acc = wc.coeff(g)
+        file_product(sums, g, wc.coeff(g), one)
         for j, cj in out.items():
             nterm = ns[j].terms.get(g - j)
             if nterm is not None:
-                acc = acc - cj * nterm
+                file_product(sums, g, cj, nterm, -1)
         tau = ns[g].coeff(0)
         if tau.is_zero():
             raise NotSolvable("t2 change lost invertibility at grade %d" % g)
-        cg = acc / tau
+        cg = sum_filed(rule.field, sums.pop(g)) / tau
         if not cg.is_zero():
             out[g] = cg
     return CommutationRule(rule.field, out, cap)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,18 @@ def test_inadmissible_set_is_an_error(capsys):
     status, out, err = run(capsys, "skew-construct", "--set", "2,1,2,1,1,0")
     assert status == 1
     assert "error:" in err
+
+
+def test_construct_over_a_large_prime_field_is_bounded(capsys):
+    """xi = -1 has order 2; reading that order factors p - 1, which is
+    2 * 100000000000000181."""
+    start = time.perf_counter()
+    status, out, err = run(
+        capsys, "skew-construct", "--field", "F200000000000000363", "--set", "2,-1,2,1,3,1"
+    )
+    assert (status, err) == (0, "")
+    assert out.startswith("field: F200000000000000363\n")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_non_integer_set_entry_is_an_error(capsys):

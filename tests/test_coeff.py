@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from skewlocal.coeff import Field, _is_prime
+from skewlocal.coeff import Field, _is_prime, _prime_factors
 from skewlocal.errors import (
     DivisionByZero,
     InadmissibleSet,
@@ -262,6 +262,36 @@ def _prime_by_trial_division(n):
 
 def test_is_prime_matches_trial_division():
     assert [n for n in range(10**5) if _is_prime(n) != _prime_by_trial_division(n)] == []
+
+
+def _factors_by_trial_division(m):
+    out = []
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            out.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
+def test_prime_factors_match_trial_division():
+    """Every m with a prime factor of 100 or more, squares of primes
+    included, leaves a cofactor for Pollard-Brent rho to split."""
+    assert [m for m in range(1, 10**5) if _prime_factors(m) != _factors_by_trial_division(m)] == []
+
+
+@pytest.mark.parametrize("p", [200000000000000363, 2000000032000000127])
+def test_root_of_unity_order_over_a_large_prime_is_bounded(p):
+    """p - 1 is 2 * 100000000000000181 and 2 * 1000000007 * 1000000009;
+    trial division of p - 1 took about 10^9 divisions and did not return
+    within 20 s."""
+    start = time.perf_counter()
+    assert Field.prime_field(p).root_of_unity_order(p - 1) == 2
+    assert time.perf_counter() - start < 1.0
 
 
 def test_is_prime_rejects_strong_pseudoprimes():

@@ -1,11 +1,13 @@
 """Property tests for composition, the closed-form elementary inverse and
 composition, the normal form reduction, the windowed skew solvers, the
 integer series product, the operator product, the shared Newton inverse and
-the sum-of-products kernel ``Field.dot`` with the skew products, twists and
-operator products built on it, checked against independent references; for
-operator products and inverses against completions of their truncated
-tails; and for negative twists against the ring axioms."""
+the sum-of-products kernel ``Field.dot`` with the skew products, twists,
+compositions, parsed rule products and operator products built on it,
+checked against independent references; for operator products and inverses
+against completions of their truncated tails; and for negative twists
+against the ring axioms."""
 
+import random
 from fractions import Fraction
 from math import inf
 
@@ -23,6 +25,7 @@ from skewlocal.autonorm import (
 )
 from skewlocal.coeff import Field
 from skewlocal.errors import NotSolvable, SkewFieldError
+from skewlocal.parsing import RuleDomain, _run, parse_rule_text, rule_to_text
 from skewlocal.psido import PsiDO, psido_compose, psido_invert
 from skewlocal.series import DEFAULT_PRECISION, LaurentSeries
 from skewlocal.skew import (
@@ -122,6 +125,120 @@ def test_compose_matches_dense_evaluation(data):
     coeffs, prec = _dense_compose(outer, outer_prec, inner, inner_prec)
     assert got.prec == prec
     assert got.coeffs == coeffs
+
+
+def _scale_and_add_compose(a, s):
+    """compose for an inner series with terms: each power s^e (of s^-1 for
+    e < 0) scaled by a_e and added by the series ``+``."""
+    f = a.field
+    vs = s.val_floor()
+    cap = (inf if a.prec is None else a.prec) * vs
+    e_min = min((e for e in a.coeffs if e > 0), default=None)
+    bound = cap if e_min is None else min(cap, (inf if s.prec is None else s.prec) + (e_min - 1) * vs)
+    bound = None if bound == inf else bound
+    pos, neg, sinv = {}, {}, None
+    acc = LaurentSeries.zero(f)
+    for e in sorted(a.coeffs):
+        if e >= 0:
+            pw = s._int_power(e, pos, bound)
+        else:
+            sinv = sinv or s.mul_invert()
+            pw = sinv._int_power(-e, neg)
+        acc = acc + pw.scale(a.coeffs[e])
+    top = min(cap, inf if acc.prec is None else acc.prec)
+    return acc.truncate(None if top == inf else top)
+
+
+def sums_pool(field):
+    """Coefficients under which sums of products often cancel."""
+    pool = [field.one(), field.from_int(-1), field.from_int(2)]
+    return pool + [field.zeta()] if field.kind == "cyclotomic" else pool
+
+
+@settings(max_examples=300, deadline=5000, database=None)
+@given(st.sampled_from([Q, C3, F7]), st.data())
+def test_compose_matches_scale_and_add_fold(field, more):
+    """Outer exponents -2..5, inner valuation 1 or 2, exact or truncated,
+    with coefficients from a small pool so that sums cancel."""
+    coeff = st.one_of(st.sampled_from(sums_pool(field)), elements(field, nonzero=True))
+    outer_prec = more.draw(st.one_of(st.none(), st.integers(-1, 7)))
+    outer = LaurentSeries(
+        field, more.draw(st.dictionaries(st.integers(-2, 5), coeff, max_size=5)), outer_prec
+    )
+    v = more.draw(st.sampled_from([1, 2]))
+    inner_prec = more.draw(st.one_of(st.none(), st.integers(v + 1, v + 6)))
+    terms = {v: more.draw(coeff)}
+    terms.update(more.draw(st.dictionaries(st.integers(v + 1, v + 4), coeff, max_size=3)))
+    inner = LaurentSeries(field, terms, inner_prec)
+    got = _outcome(outer.compose, inner)
+    ref = _outcome(_scale_and_add_compose, outer, inner)
+    assert got == ref
+    if not isinstance(ref, type):
+        assert list(got.coeffs) == list(ref.coeffs)
+
+
+class _FoldRuleDomain(RuleDomain):
+    """RuleDomain with the product of two values summed per t2-grade by the
+    series ``*`` and ``+``."""
+
+    def mul(self, a, b):
+        out = {}
+        for j, s in a.coeffs.items():
+            for l, w in b.coeffs.items():
+                p = s * w
+                out[j + l] = out[j + l] + p if j + l in out else p
+        gps = [inf]
+        if a.gprec is not None:
+            gps.append(a.gprec + (min(b.coeffs) if b.coeffs else 0))
+        if b.gprec is not None:
+            gps.append(b.gprec + (min(a.coeffs) if a.coeffs else 0))
+        return RuleDomain.Value(out, None if min(gps) == inf else min(gps))
+
+
+@st.composite
+def rule_products(draw):
+    """A field and the right side of a C line: t1 plus one or two products
+    of two or three factors, each a sum of terms c t1^a t2^b with an
+    optional O(t1^N) and an optional O(t2^N)."""
+    field = draw(st.sampled_from([Q, C3, F7]))
+    coeffs = ["1", "-1", "2", "1/2"] + (["zeta", "(1 - zeta)"] if field is C3 else [])
+
+    def factor():
+        parts = [
+            "%s*t1^%d*t2^%d"
+            % (draw(st.sampled_from(coeffs)), draw(st.integers(-1, 3)), draw(st.integers(0, 2)))
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        if draw(st.booleans()):
+            parts.append("O(t1^%d)" % draw(st.integers(1, 6)))
+        if draw(st.booleans()):
+            parts.append("O(t2^%d)" % draw(st.integers(1, 4)))
+        return "(%s)" % " + ".join(parts)
+
+    products = [
+        "*".join(factor() for _ in range(draw(st.integers(2, 3))))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    return field, "t1 + " + " + ".join(products)
+
+
+@settings(max_examples=200, deadline=5000, database=None)
+@given(rule_products())
+def test_rule_products_match_the_series_fold(data):
+    """Filed products of rule values equal the series fold, precisions and
+    key order included, and a rule read from them survives a round trip
+    through its text."""
+    field, expr = data
+    got = _outcome(_run, expr, RuleDomain(field))
+    ref = _outcome(_run, expr, _FoldRuleDomain(field))
+    if isinstance(ref, type):
+        assert got == ref
+        return
+    assert (got.coeffs, got.gprec) == (ref.coeffs, ref.gprec)
+    assert _layout(got) == _layout(ref)
+    rule = _outcome(parse_rule_text, "field: %s\nC = %s\n" % (field.name(), expr))
+    if not isinstance(rule, type):
+        assert parse_rule_text(rule_to_text(rule)) == rule
 
 
 # -- closed-form inverse of t + b t^k ----------------------------------------
@@ -230,6 +347,33 @@ def _reference_change_t2(rule, w_el, cap):
     return CommutationRule(rule.field, out, cap)
 
 
+def _scale_and_add_change_t2(rule, w_el, cap):
+    """change_t2 with its windows, each grade solved by the series ``-`` and
+    ``*``: acc - c'_j N_(j+1)[g - j] for every earlier grade j."""
+    w = SkewSeries(rule, w_el.terms, w_el.gprec).truncate(cap)
+    c_el = SkewSeries(rule, rule.coeffs, rule.t2_prec).truncate(cap)
+    wc = skew_mul(w, c_el, cap)
+    ns = [w]
+    phiw = w
+    for j in range(1, cap):
+        phiw = rule._apply_phi(phiw, cap - j)
+        ns.append(skew_mul(ns[-1], phiw, cap - j))
+    out = {}
+    for g in range(0, cap):
+        acc = wc.coeff(g)
+        for j, cj in out.items():
+            nterm = ns[j].terms.get(g - j)
+            if nterm is not None:
+                acc = acc - cj * nterm
+        tau = ns[g].coeff(0)
+        if tau.is_zero():
+            raise NotSolvable("t2 change lost invertibility at grade %d" % g)
+        cg = acc / tau
+        if not cg.is_zero():
+            out[g] = cg
+    return CommutationRule(rule.field, out, cap)
+
+
 def _inverse_formula_change_t2(rule, w_el, cap):
     """The new rule from X = W C W^-1 = sum c'_j N_j t2^j, with W^-1 formed."""
     w = SkewSeries(rule, w_el.terms, w_el.gprec).truncate(cap)
@@ -319,6 +463,8 @@ def _rule(data):
 @settings(max_examples=60, deadline=5000, database=None)
 @given(rule_data(), st.data())
 def test_change_t2_matches_full_cap_reference(data, more):
+    """The filed solve equals its scale-and-add copy, values, precisions and
+    key order, and the solve with every N_j built to the full cap."""
     field, _, t1_prec, t2p = data
     w = {0: {0: more.draw(elements(field, nonzero=True))}}
     w[0].update(more.draw(series_data(field, 1, 3, t1_prec)))
@@ -331,7 +477,11 @@ def test_change_t2_matches_full_cap_reference(data, more):
         el = rule.element({s: LaurentSeries(field, c, t1_prec) for s, c in w.items()})
         return _outcome(fn, rule, el, cap)
 
-    assert run(change_t2) == run(_reference_change_t2)
+    got, solved = run(change_t2), run(_scale_and_add_change_t2)
+    assert got == solved
+    if not isinstance(got, type):
+        assert _layout(got) == _layout(solved)
+    assert got == run(_reference_change_t2)
 
 
 @settings(max_examples=60, deadline=5000, database=None)
@@ -960,8 +1110,8 @@ def test_dot_at_the_slot_bound(field, pairs, m, bits, more):
 
 
 def _layout(x):
-    """The key order of a skew series or operator and of every coefficient
-    series in it."""
+    """The key order of a skew series, rule or operator and of every
+    coefficient series in it."""
     entries = x.terms if isinstance(x, SkewSeries) else x.coeffs
     return [(k, list(s.coeffs)) for k, s in entries.items()]
 
@@ -1036,18 +1186,19 @@ def test_skew_mul_matches_per_piece_loop(data, more):
 
 
 def _reference_evaluate(a, power, base):
-    """_evaluate as one scaled power per term of a, summed by the skew ``+``."""
+    """_evaluate as one scaled power per term of a, added grade by grade by
+    the series ``+``; a grade zero to its precision is dropped only when the
+    skew series is built at the end."""
     f = a.field
-    acc = None
+    grades = {}
+    gprec = inf
     for e, c in sorted(a.coeffs.items()):
         pw = power(e)
-        scaled = SkewSeries(
-            pw.rule,
-            {j: LaurentSeries(f, {x: f.mul(c, y) for x, y in s.coeffs.items()}, s.prec)
-             for j, s in pw.terms.items()},
-            pw.gprec,
-        )
-        acc = scaled if acc is None else acc + scaled
+        gprec = min(gprec, inf if pw.gprec is None else pw.gprec)
+        for j, s in pw.terms.items():
+            scaled = LaurentSeries(f, {x: f.mul(c, y) for x, y in s.coeffs.items()}, s.prec)
+            grades[j] = grades[j] + scaled if j in grades else scaled
+    acc = SkewSeries(pw.rule, grades, None if gprec == inf else gprec)
     if a.prec is not None:
         acc = _tail_cap(acc, a.prec, base())
     return acc
@@ -1058,7 +1209,8 @@ def _reference_evaluate(a, power, base):
 def test_evaluate_matches_scale_and_add_fold(field, more):
     """Arbitrary skew elements stand in for the powers, with coefficients
     from a small pool so that partial sums cancel, to their precision, in
-    whole grades: the fold drops such a grade and starts it again later."""
+    whole grades: such a grade stays known only to the least precision of
+    its terms."""
     rule = CommutationRule(field, {0: LaurentSeries.variable(field)})
     pool = [field.one(), field.from_int(-1), field.from_int(2)]
     if field is C3:
@@ -1089,23 +1241,34 @@ def test_evaluate_matches_scale_and_add_fold(field, more):
     assert _layout(got) == _layout(ref)
 
 
+def _completed_tail(s, rng):
+    """s made exact, with random positive terms at t1^prec .. t1^(prec + 3)."""
+    tail = {} if s.prec is None else {x: rng.randint(1, 9) for x in range(s.prec, s.prec + 4)}
+    return LaurentSeries.make(Q, {**s.coeffs, **tail})
+
+
 @pytest.mark.parametrize(
-    "powers",
+    "powers, claim, overclaim",
     [
         # grade 0 cancels to its precision after two terms and comes back
-        # after grade 1, with a precision of its own
-        [({0: ({0: 1}, 5)}, None), ({0: ({0: -1}, 3), 1: ({0: 2}, None)}, None),
-         ({0: ({1: 1}, 4)}, None)],
+        # after grade 1; the second term is known only below t1^3
+        ([({0: ({0: 1}, 5)}, None), ({0: ({0: -1}, 3), 1: ({0: 2}, None)}, None),
+          ({0: ({1: 1}, 4)}, None)],
+         "(t1 + O(t1^3)) + 2*t2", ({1: 1}, 4)),
         # the least valuation 0 cancels in the second term; the third term
-        # has a higher valuation but lowers the precision below t1^2
-        [({0: ({0: 1, 1: 1, 2: 1}, 5)}, None), ({0: ({0: -1}, 5)}, None),
-         ({0: ({1: -1}, 2)}, None), ({0: ({0: 1}, 6)}, 4)],
+        # has a higher valuation but is known only below t1^2
+        ([({0: ({0: 1, 1: 1, 2: 1}, 5)}, None), ({0: ({0: -1}, 5)}, None),
+          ({0: ({1: -1}, 2)}, None), ({0: ({0: 1}, 6)}, 4)],
+         "(1 + O(t1^2)) + O(t2^4)", ({0: 1}, 6)),
     ],
+    ids=["powers0", "powers1"],
 )
-def test_evaluate_drops_and_restarts_a_cancelled_grade(powers):
-    """The skew ``+`` drops a grade whose partial sum is zero to its
-    precision; _evaluate drops it too, and starts it afresh, at the end of
-    the order, when a later term brings it back."""
+def test_evaluate_drops_and_restarts_a_cancelled_grade(powers, claim, overclaim):
+    """A grade whose partial sum cancels to its precision is still known only
+    to the least precision of all its terms.  Completing the truncated tails
+    at random leaves that claim intact, and changes coefficients that a sum
+    restarted after the cancellation (``overclaim``, at grade 0) would
+    claim."""
     rule = CommutationRule(Q, {0: LaurentSeries.variable(Q)})
     pw = {
         e: rule.element(
@@ -1118,6 +1281,20 @@ def test_evaluate_drops_and_restarts_a_cancelled_grade(powers):
     ref = _reference_evaluate(a, pw.__getitem__, None)
     assert got == ref
     assert _layout(got) == _layout(ref)
+    assert got.format() == claim
+    rng = random.Random(len(powers))
+    wrong = LaurentSeries.make(Q, *overclaim)
+    for _ in range(5):
+        completed = {
+            e: rule.element(
+                {j: _completed_tail(s, rng) for j, s in x.terms.items()},
+                x.gprec,
+            )
+            for e, x in pw.items()
+        }
+        done = _evaluate(a, completed.__getitem__, None, None)
+        assert got.agrees(done)
+        assert not wrong.agrees(done.coeff(0))
 
 
 @settings(max_examples=120, deadline=10000, database=None)
