@@ -175,6 +175,14 @@ class CommutationRule:
         self._phi_cache = {}
         self._pow_cache = {}
         self._inverse = None
+        # twists of the series this rule owns (its coefficients and the terms
+        # of its images of t1), keyed by id; _owned keeps each series alive,
+        # so its id stays unique while the rule lives
+        self._owned = {}
+        self._twist_memo = {}
+        self._twist_hits = 0
+        self._twist_misses = 0
+        self._own(clean.values())
 
     @property
     def alpha(self):
@@ -191,6 +199,21 @@ class CommutationRule:
             and self.t2_prec == other.t2_prec
             and self.coeffs == other.coeffs
         )
+
+    def _own(self, series):
+        for s in series:
+            self._owned[id(s)] = s
+
+    def cache_info(self):
+        """Entry counts of the image, power and twist caches, and the hits
+        and misses of the twist memo."""
+        return {
+            "images": len(self._phi_cache),
+            "powers": sum(len(c) for c in self._pow_cache.values()),
+            "twists": len(self._twist_memo),
+            "twist_hits": self._twist_hits,
+            "twist_misses": self._twist_misses,
+        }
 
     def t1_prec(self):
         precs = [s.prec for s in self.coeffs.values() if s.prec is not None]
@@ -245,6 +268,7 @@ class CommutationRule:
             return self.t1()
         if m == -1:
             img = self.inverse_rule(cap).phi_image(1, cap)
+            self._own(img.terms.values())
             return SkewSeries(self, img.terms, img.gprec)
         img = _memo_get(self._phi_cache, m, cap)
         if img is not None:
@@ -256,6 +280,7 @@ class CommutationRule:
             # would move t2 past coefficients by Phi^-1 instead of Phi
             step = 1 if m > 0 else -1
             img = self._apply_phi(self.phi_image(m - step, cap), cap, step)
+            self._own(img.terms.values())
         return _memo_put(self._phi_cache, m, cap, img)
 
     def _apply_phi(self, x, cap, step=1):
@@ -280,11 +305,27 @@ class CommutationRule:
     def twist(self, a, m, cap=None):
         """Phi^m(a) for a coefficient series a: substitute Phi^m(t1).
 
-        cap=None means no forced truncation (see phi_image)."""
+        cap=None means no forced truncation (see phi_image).  Twists of the
+        series the rule owns are memoized: an exact series has one entry per
+        m, served truncated to any smaller cap (a twist that came out exact
+        is served whole, as the image and power caches serve theirs), and a
+        t1-truncated series has one per m and cap, since its precision
+        claims depend on the cap (see _tail_cap)."""
         if cap is not None and cap <= 0:
             return self.zero(cap)
         if m == 0 or a.is_zero():
             return self.from_series(a)
+        if self._owned.get(id(a)) is not a:
+            return self._twist(a, m, cap)
+        key = (m, id(a)) if a.prec is None else (m, id(a), cap)
+        out = _memo_get(self._twist_memo, key, cap)
+        if out is not None:
+            self._twist_hits += 1
+            return out
+        self._twist_misses += 1
+        return _memo_put(self._twist_memo, key, cap, self._twist(a, m, cap))
+
+    def _twist(self, a, m, cap):
         # inverting Phi^m(t1) re-enters the power cache at smaller caps
         pows = self._pow_cache.setdefault(m, {})
 

@@ -6,8 +6,10 @@ seed written in the test.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import settings
 
+from skewlocal import skew
 from skewlocal.coeff import Field
 from skewlocal.series import LaurentSeries
 from skewlocal.skew import build_from_invariants
@@ -18,6 +20,21 @@ settings.register_profile("skewlocal", print_blob=True)
 settings.load_profile("skewlocal")
 
 Q = Field.rationals()
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch):
+    """A list whose one entry counts the calls of ``skew._evaluate``, the
+    substitution behind every twist and power chain."""
+    calls = [0]
+    evaluate = skew._evaluate
+
+    def counted(*args):
+        calls[0] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(skew, "_evaluate", counted)
+    return calls
 
 
 def rand_fraction(rng, nonzero=False):

@@ -4,8 +4,8 @@ integer series product, the operator product, the shared Newton inverse and
 the sum-of-products kernel ``Field.dot`` with the skew products, twists,
 compositions, parsed rule products and operator products built on it,
 checked against independent references; for operator products and inverses
-against completions of their truncated tails; and for negative twists
-against the ring axioms."""
+against completions of their truncated tails; for negative twists against
+the ring axioms; and for the per-rule twist memo against a rule without it."""
 
 import random
 from fractions import Fraction
@@ -1318,3 +1318,76 @@ def test_twist_matches_scale_and_add_loop(data, m, cap, more):
     assert got == ref
     if not isinstance(ref, type):
         assert _layout(got) == _layout(ref)
+
+
+# -- the per-rule twist memo -----------------------------------------------
+
+
+def _unmemoized(data):
+    """A fresh rule that owns no series, so none of its twists is memoized."""
+    rule = _rule(data)
+    rule._owned = {}
+    rule._own = lambda series: None
+    return rule
+
+
+def _owned_series(rule, images, cap):
+    """The rule's coefficients and the terms of its images Phi^k(t1)."""
+    out = list(rule.coeffs.values())
+    for k in images:
+        out += list(rule.phi_image(k, cap).terms.values())
+    return out
+
+
+@settings(max_examples=60, deadline=10000, database=None)
+@given(rule_data(), st.integers(-2, 3), st.data())
+def test_twist_memo_matches_the_unmemoized_twist(data, m, more):
+    """Owned series twisted at a large cap, then at smaller caps and at the
+    large cap again: each twist equals the same call on a rule without the memo that made the same calls
+    before.  On exact rules it also equals the twist on a cold rule; on
+    t1-truncated ones a cold rule can claim more t1-precision, because
+    ``_tail_cap`` reads the image at the cap of the call and the image and
+    power caches serve entries cut from larger caps."""
+    top = more.draw(st.integers(2, data[3] or 6))
+    images = more.draw(st.lists(st.sampled_from([-2, -1, 1, 2, 3]), max_size=2, unique=True))
+    rule = _rule(data)
+    ref = _unmemoized(data)
+    owned = _outcome(_owned_series, rule, images, top)
+    assert _outcome(_owned_series, ref, images, top) == owned
+    if isinstance(owned, type):
+        return
+    for a in owned:
+        for cap in list(range(top, 0, -1)) + [top]:
+            got = _outcome(rule.twist, a, m, cap)
+            want = _outcome(ref.twist, a, m, cap)
+            assert got == want
+            if isinstance(got, type):
+                continue
+            assert _layout(got) == _layout(want)
+            if data[2] is None:
+                cold = _rule(data).twist(a, m, cap)
+                assert got == cold
+                assert _layout(got) == _layout(cold)
+    assert m == 0 or rule.cache_info()["twist_hits"] > 0
+
+
+@settings(max_examples=15, deadline=20000, database=None)
+@given(rule_data(), st.integers(-2, 3), st.integers(1, 4))
+def test_twist_memo_keeps_no_operand(data, m, cap):
+    """Once the powers a twist reads are cached, 500 distinct operand series
+    add no entry to the memo."""
+    field, _, t1_prec, t2p = data
+    cap = min(cap, t2p or cap)
+    rule = _rule(data)
+    exps = range(-1, 4)
+    warm = LaurentSeries(field, {e: field.one() for e in exps}, t1_prec)
+    if isinstance(_outcome(rule.twist, warm, m, cap), type):
+        return
+    before = rule.cache_info()
+    rng = random.Random(cap)
+    for _ in range(500):
+        coeffs = {e: field.from_int(rng.randint(1, 6)) for e in rng.sample(exps, 2)}
+        rule.twist(LaurentSeries(field, coeffs, t1_prec), m, cap)
+    after = rule.cache_info()
+    assert after["twists"] == before["twists"]
+    assert after["twist_misses"] == before["twist_misses"]

@@ -1,0 +1,158 @@
+"""Run the benchmark in alternating pairs, parent against change, and write
+the per-side medians, quartiles and wins to a BENCH_*.json file.
+
+    python3 tools/bench_record.py --parent REV --change . \
+        --workload canonicalize --seeds 911-920 --seconds 30 --out BENCH_N.json
+
+A side is a directory holding a checkout, used as it is, or a git revision
+of this repository, exported with ``git archive`` into a scratch directory
+so that it runs from committed files only.  Each seed is one pair: both
+sides run ``perfbench/run.py --trace 0`` once on it, and the side that runs
+first alternates from pair to pair, so slow drift of the machine hits both
+alike.  A metric's wins count the pairs in which the change was better, in
+the direction BENCHMARK.json gives for it.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("parent", "change")
+
+
+def parse_seeds(items):
+    """Seeds from arguments such as 911 or 911-920 (both ends included)."""
+    out = []
+    for item in items:
+        lo, _, hi = item.partition("-")
+        out.extend(range(int(lo), int(hi or lo) + 1))
+    return out
+
+
+def parse_result(stdout):
+    """The result object a benchmark run prints as its last line."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("the benchmark printed nothing")
+    result = json.loads(lines[-1])
+    return {
+        "failed": result["failed"],
+        "attempted": result["attempted"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile), inclusive method."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(pairs, better):
+    """Per-side median and quartiles of every metric, the change's wins and
+    the failed runs, for a list of pairs {"seed", "first", "parent",
+    "change"} whose sides are parsed results; better maps each metric to
+    "higher" or "lower"."""
+    out = {"seeds": [p["seed"] for p in pairs], "pairs": pairs}
+    names = [n for n in better if all(n in p[s]["metrics"] for p in pairs for s in SIDES)]
+    for side in SIDES:
+        stats = {}
+        for name in names:
+            q1, q2, q3 = quartiles([p[side]["metrics"][name] for p in pairs])
+            stats[name] = {"median": q2, "q1": q1, "q3": q3}
+        out[side] = stats
+    wins = {}
+    for name in names:
+        sign = 1 if better[name] == "higher" else -1
+        wins[name] = sum(
+            sign * (p["change"]["metrics"][name] - p["parent"]["metrics"][name]) > 0
+            for p in pairs
+        )
+    out["wins"] = wins
+    out["failed"] = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
+    return out
+
+
+def _git(cwd, *args):
+    done = subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def checkout(spec, workdir, name):
+    """(directory, revision, uncommitted changes) for one side."""
+    if os.path.isdir(spec):
+        rev = _git(spec, "rev-parse", "HEAD")
+        status = _git(spec, "status", "--porcelain", "--untracked-files=no")
+        return os.path.abspath(spec), rev, bool(status)
+    rev = _git(ROOT, "rev-parse", "--verify", spec + "^{commit}")
+    if rev is None:
+        raise SystemExit("error: %s is neither a directory nor a git revision" % spec)
+    path = os.path.join(workdir, name)
+    os.makedirs(path)
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", path], input=archive.stdout, check=True)
+    return path, rev, False
+
+
+def run_once(path, workload, seed, seconds):
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=path, capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        raise SystemExit("error: %s seed %d in %s failed:\n%s" % (
+            workload, seed, path, done.stderr))
+    return parse_result(done.stdout)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="directory or git revision")
+    ap.add_argument("--change", required=True, help="directory or git revision")
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--seeds", nargs="+", required=True, help="seeds, or ranges a-b")
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seeds = parse_seeds(args.seeds)
+    with tempfile.TemporaryDirectory() as workdir:
+        sides = {
+            "parent": checkout(args.parent, workdir, "parent"),
+            "change": checkout(args.change, workdir, "change"),
+        }
+        record = {
+            side: {"revision": rev, "uncommitted": dirty}
+            for side, (_, rev, dirty) in sides.items()
+        }
+        record["seconds"] = args.seconds
+        record["workloads"] = {}
+        for workload in args.workload:
+            pairs = []
+            for k, seed in enumerate(seeds):
+                order = SIDES if k % 2 == 0 else SIDES[::-1]
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run_once(sides[side][0], workload, seed, args.seconds)
+                    print("# %s seed %d %s: %s" % (workload, seed, side, json.dumps(
+                        pair[side]["metrics"])), flush=True)
+                pairs.append(pair)
+            record["workloads"][workload] = summarize(pairs, better)
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
