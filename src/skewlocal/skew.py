@@ -914,6 +914,15 @@ def invariants(rule, cap=None):
             required=(reduced.t2_prec or 0) + 1,
         )
     i = support[0]
+    r, c, a = _read_invariants(reduced, n, i)
+    return SkewInvariantSet(field, n, xi, i, r, c, a)
+
+
+def _read_invariants(reduced, n, i):
+    """(r, c, a) of a rule that reduce_support left with least positive
+    grade i, read from the grades i and 2i of Phi^n(t1)."""
+    field = reduced.field
+    xi = reduced.zeta
     if i % n != 0:
         raise NotSolvable("reduction locked i = %d not divisible by n = %d" % (i, n))
     if reduced.t2_prec is not None and reduced.t2_prec < 2 * i + 1:
@@ -935,7 +944,7 @@ def invariants(rule, cap=None):
     xp = x_n.derive()
     integrand = (y_n - (xp * x_n).scale(half)) / (x_n * x_n)
     a = integrand.residue()
-    return SkewInvariantSet(field, n, xi, i, r, c, a)
+    return r, c, a
 
 
 def build_from_invariants(field, n, xi, i, r=None, c=None, a=None):
@@ -1019,35 +1028,28 @@ def canonicalize(rule, cap=None):
         records.append(ParameterChange("t2_shift", {"power": m_sh}))
         cur = nxt
 
-    invset = invariants(cur, cap)
-    if invset.i != i:
-        raise NotSolvable("extraction disagrees with the reduced support")
-    r, c, a = invset.r, invset.c, invset.a
+    r, c, a = _read_invariants(cur, n, i)
+    invset = SkewInvariantSet(field, n, xi, i, r, c, a)
 
-    # monomialize delta_i to c * t1^r with unit changes u(t1)
-    guard = 0
-    while True:
-        di = cur.coeffs[i]
-        q = di / LaurentSeries.monomial(field, r, c)
-        junk = [e for e in sorted(q.coeffs) if e != 0 or q.coeffs[e] != one]
-        if not junk:
-            break
-        e = junk[0]
-        if e <= 0:
+    # monomialize delta_i = c t1^r q to c t1^r with one unit change
+    # t2' = u(t1) t2.  After reduce_support c_0 = xi t1 and no grade lies
+    # strictly between 0 and i, so the change_t2 solve at grade i reads
+    # c'_i N_(i+1)[0] = u c_i with N_(i+1)[0] = u(t1) u(xi t1) ... u(xi^i t1).
+    # q lies in 1 + t1^n k[[t1^n]], and so does u = q^(1/i); such a u is
+    # fixed by t1 -> xi t1, the product is u^(i+1) and c'_i = c_i u^-i,
+    # which is c t1^r.
+    mono = LaurentSeries.monomial(field, r, c)
+    q = cur.coeffs[i] / mono
+    if q.coeffs != {0: one}:
+        if q.valuation() != 0 or q.coeffs[0] != one:
             raise NotSolvable("grade-i coefficient has an unexpected leading part")
-        mu = field.div(q.coeffs[e], field.from_int(i))
-        u = LaurentSeries(field, {0: one, e: mu})
+        u = _unit_root(q, i)
         nxt = change_t2(cur, cur.element({0: u}), cap)
         _check_kill(cur, nxt, i, allow_nonzero=True)
+        if not nxt.coeffs.get(i, LaurentSeries.zero(field)).agrees(mono):
+            raise NotSolvable("monomialization left t1-terms at grade %d" % i)
         records.append(ParameterChange("t2_unit", {"grade": 0, "g": u}))
-        new_junk = nxt.coeffs[i] / LaurentSeries.monomial(field, r, c)
-        new_e = [x for x in sorted(new_junk.coeffs) if x != 0 or new_junk.coeffs[x] != one]
-        if new_e and new_e[0] <= e:
-            raise NotSolvable("monomialization made no progress at t1^%d" % e)
         cur = nxt
-        guard += 1
-        if guard > 4 * cap + 64:
-            raise NotSolvable("monomialization did not terminate")
 
     target = build_from_invariants(field, n, xi, i, r, c, a)
 
@@ -1071,6 +1073,32 @@ def canonicalize(rule, cap=None):
                 "canonical form disagrees with its invariants at grade %d" % j
             )
     return invset, cur, records
+
+
+def _unit_root(q, i):
+    """u = q^(1/i) for a series q with constant term 1, as the exact
+    polynomial of its terms below P = q.prec (DEFAULT_PRECISION when q is
+    exact, the bound mul_invert applies).
+
+    J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7) with
+    a = 1/i: u_0 = 1, u_k = sum_(j=1..k) ((a + 1) j - k) / k * q_j u_(k-j).
+    """
+    f = q.field
+    prec = DEFAULT_PRECISION if q.prec is None else q.prec
+    qs = [(j, q.coeffs[j]) for j in sorted(q.coeffs) if j > 0]
+    u = {0: f.one()}
+    for k in range(1, prec):
+        acc = f.zero()
+        for j, qj in qs:
+            if j > k:
+                break
+            uk = u.get(k - j)
+            if uk is not None:
+                # i ((a + 1) j - k) = (i + 1) j - i k
+                acc = f.add(acc, f.mul_int(f.mul(qj, uk), (i + 1) * j - i * k))
+        if not f.is_zero(acc):
+            u[k] = f.div(acc, f.from_int(i * k))
+    return LaurentSeries(f, u)
 
 
 def _fix_grade_2i(cur, target, i, n, cap, records):

@@ -5,14 +5,15 @@ the sum-of-products kernel ``Field.dot`` with the skew products, twists,
 compositions, parsed rule products and operator products built on it,
 checked against independent references; for operator products and inverses
 against completions of their truncated tails; for negative twists against
-the ring axioms; and for the per-rule twist memo against a rule without it."""
+the ring axioms; for the per-rule twist memo against a rule without it;
+and for canonicalize against its old loop of linearized unit changes."""
 
 import random
 from fractions import Fraction
 from math import inf
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from skewlocal.autonorm import (
@@ -30,12 +31,21 @@ from skewlocal.psido import PsiDO, psido_compose, psido_invert
 from skewlocal.series import DEFAULT_PRECISION, LaurentSeries
 from skewlocal.skew import (
     CommutationRule,
+    ParameterChange,
     SkewSeries,
+    _check_kill,
+    _clear_grade,
+    _detect_order,
     _evaluate,
+    _fix_grade_2i,
     _power,
     _tail_cap,
+    build_from_invariants,
+    canonicalize,
     change_t1,
     change_t2,
+    invariants,
+    reduce_support,
     skew_invert,
     skew_mul,
 )
@@ -1391,3 +1401,107 @@ def test_twist_memo_keeps_no_operand(data, m, cap):
     after = rule.cache_info()
     assert after["twists"] == before["twists"]
     assert after["twist_misses"] == before["twist_misses"]
+
+
+# -- canonicalize against its loop of linearized unit changes ----------------
+
+
+def _loop_canonicalize(rule, cap):
+    """``canonicalize`` as it was when it monomialized delta_i with a loop of
+    linearized unit changes t2' = (1 + mu t1^e) t2, one t1-exponent each."""
+    field = rule.field
+    cur, records = reduce_support(rule, cap)
+    n = _detect_order(cur)
+    xi = cur.zeta
+    i = min(j for j in cur.coeffs if j >= 1)
+    one = field.one()
+    rho = cur.coeffs[i].valuation()
+    m_sh = (rho - rho % i) // i
+    if m_sh != 0:
+        cur = change_t2(cur, cur.element({0: LaurentSeries.monomial(field, m_sh)}), cap)
+        records.append(ParameterChange("t2_shift", {"power": m_sh}))
+    invset = invariants(cur, cap)
+    r, c, a = invset.r, invset.c, invset.a
+    guard = 0
+    while True:
+        q = cur.coeffs[i] / LaurentSeries.monomial(field, r, c)
+        junk = [e for e in sorted(q.coeffs) if e != 0 or q.coeffs[e] != one]
+        if not junk:
+            break
+        e = junk[0]
+        if e <= 0:
+            raise NotSolvable("grade-i coefficient has an unexpected leading part")
+        u = LaurentSeries(field, {0: one, e: field.div(q.coeffs[e], field.from_int(i))})
+        nxt = change_t2(cur, cur.element({0: u}), cap)
+        _check_kill(cur, nxt, i, allow_nonzero=True)
+        records.append(ParameterChange("t2_unit", {"grade": 0, "g": u}))
+        cur = nxt
+        guard += 1
+        if guard > 4 * cap + 64:
+            raise NotSolvable("monomialization did not terminate")
+    target = build_from_invariants(field, n, xi, i, r, c, a)
+    if 2 * i < cap:
+        cur, records = _fix_grade_2i(cur, target, i, n, cap, records)
+    for j in range(2 * i + 1, cap):
+        if j in cur.coeffs:
+            cur = _clear_grade(cur, j, i, n, cap, records)
+    return invset, cur, records
+
+
+@st.composite
+def hidden_canonical_rules(draw):
+    """(field, cap, rule): the canonical rule of a random admissible set with
+    n <= 3 and 2i < cap, hidden by a random grade-0 unit t2' = u(t1) t2 with
+    at least one positive t1-exponent, and sometimes by one more change at a
+    positive grade."""
+    field = draw(st.sampled_from([Q, C3]))
+    cap = draw(st.integers(5, 7))
+    n = draw(st.sampled_from([1, 2, 3] if field is C3 else [1, 2]).filter(
+        lambda n: 2 * n < cap))
+    i = n * draw(st.integers(1, (cap - 1) // (2 * n)))
+    r = draw(st.sampled_from([r for r in range(i) if (r - 1) % n == 0]))
+    xi = field.primitive_root_of_unity(n)
+    c = draw(elements(field, nonzero=True))
+    a = draw(elements(field))
+    rule = build_from_invariants(field, n, xi, i, r, c, a)
+    u = {0: draw(elements(field, nonzero=True))}
+    u.update(draw(st.dictionaries(st.integers(1, 3), elements(field, nonzero=True),
+                                  min_size=1, max_size=2)))
+    rule = change_t2(rule, rule.element({0: LaurentSeries(field, u)}), cap)
+    kind = draw(st.sampled_from([None, "t1", "t2"]))
+    if kind is not None:
+        s = draw(st.integers(1, cap - 1))
+        b = LaurentSeries(field, draw(st.dictionaries(
+            st.integers(1, 3), elements(field, nonzero=True), min_size=1, max_size=2)))
+        if kind == "t1":
+            rule = change_t1(rule, rule.element({0: rule.t1_series(), s: b}), cap)
+        else:
+            one = LaurentSeries.const(field, field.one())
+            rule = change_t2(rule, rule.element({0: one, s: b}), cap)
+    return field, cap, rule
+
+
+@settings(max_examples=25, deadline=30000, database=None)
+@given(hidden_canonical_rules())
+def test_canonicalize_matches_the_unit_change_loop(data):
+    """One closed-form unit change t2' = q^(1/i) t2 gives the invariants and
+    the canonical rule of the loop, values, t1-precisions, t2_prec and key
+    order, and records one grade-0 change."""
+    field, cap, rule = data
+
+    def run(fn):
+        # a fresh rule per side, so that no twist cache is shared
+        return _outcome(fn, CommutationRule(field, rule.coeffs, rule.t2_prec), cap)
+
+    got, ref = run(canonicalize), run(_loop_canonicalize)
+    if isinstance(ref, type) or isinstance(got, type):
+        event("both raise")
+        assert got == ref
+        return
+    (inv, canon, records), (inv_ref, canon_ref, _) = got, ref
+    assert inv.key() == inv_ref.key()
+    assert canon == canon_ref
+    # == compares t2_prec and each coefficient with its t1-precision
+    assert list(canon.coeffs) == list(canon_ref.coeffs)
+    grade0 = [r for r in records if r.kind == "t2_unit" and r.data["grade"] == 0]
+    assert len(grade0) == 1

@@ -213,6 +213,30 @@ def test_canonicalize_twists_each_owned_series_once(evaluate_calls):
     assert evaluate_calls[0] <= 1000
 
 
+def _grade0_changes(records):
+    return [r for r in records if r.kind == "t2_unit" and r.data["grade"] == 0]
+
+
+def test_canonicalize_monomializes_in_one_unit_change():
+    """A move count, not a time: delta_i becomes c t1^r under one unit
+    change t2' = q^(1/i) t2.  On the perturbed rule at cap 12 the loop of
+    linearized unit changes it replaces recorded 4 grade-0 changes."""
+    m1 = Q.from_int(-1)
+    base = build_from_invariants(Q, 2, m1, 2, 1, Q.from_int(3), Q.from_int(1))
+    w = base.element({0: S({0: 1, 2: 2}), 2: S({1: 1})})
+    _, _, records = canonicalize(change_t2(base, w, 12))
+    assert len(_grade0_changes(records)) == 1
+
+
+def test_canonicalize_monomializes_an_exact_rule_in_one_unit_change():
+    """As above on an exact rule at cap 7, where the loop recorded 11."""
+    exact = build_from_rule(Q, {0: S({1: 1}), 2: S({0: 3, 2: 5}), 3: S({1: 1})})
+    invset, canon, records = canonicalize(exact, 7)
+    assert len(_grade0_changes(records)) == 1
+    assert invset.key() == (1, Q.one(), 2, 0, Q.from_int(3), Q.zero())
+    assert canon.coeffs[2].agrees(S({0: 3}))
+
+
 def test_parameter_changes_preserve_invariants():
     m1 = Q.from_int(-1)
     base = build_from_invariants(Q, 2, m1, 2, 1, Q.from_int(3), Q.from_int(1))
