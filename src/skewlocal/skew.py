@@ -332,7 +332,9 @@ class CommutationRule:
         def base():
             return self.phi_image(m, cap)
 
-        return _evaluate(a, lambda e: _power(self, pows, e, cap, base), cap, base)
+        # Phi^g(Phi^m(t1)) = Phi^(m+g)(t1): positive powers read cached images
+        images = (lambda g, b: self.phi_image(m + g, b)) if m > 0 else None
+        return _evaluate(a, lambda e: _power(self, pows, e, cap, base, images), cap, base)
 
     # -- inverse rule ---------------------------------------------------------
 
@@ -400,23 +402,69 @@ def _memo_put(cache, key, cap, value):
     return value
 
 
-def _power(rule, cache, e, cap, base):
+def _power(rule, cache, e, cap, base, images=None):
     """P^e to grade cap for P = base(), memoized in cache with the cap
-    each entry was computed at."""
+    each entry was computed at.
+
+    With images(g, b) = Phi^g(P) to grade b, a positive power is
+    P^e = P^(e-1) P = sum_g P^(e-1)[g] Phi^g(P) t2^g (t2^g P = Phi^g(P) t2^g),
+    and grade g of P^(e-1) reads Phi^g(P) only below grade cap - g.  For a
+    rule's chain of P = Phi^m(t1), m >= 1, the images are Phi^(m+g)(t1); each
+    is built by Phi from the one before, twisting with the chain of Phi(t1)
+    at a smaller cap, so that chain is the only one a positive twist needs.
+    Without images every factor P is twisted by skew_mul."""
     out = _memo_get(cache, e, cap)
     if out is not None:
         return out
     if e == 0:
         out = rule.one()
     elif e > 0:
-        out = skew_mul(_power(rule, cache, e - 1, cap, base), base(), cap)
+        prev = _power(rule, cache, e - 1, cap, base, images)
+        if images is None:
+            out = skew_mul(prev, base(), cap)
+        else:
+            out = _mul_by_images(prev, images, cap)
     elif e == -1:
         out = skew_invert(base(), cap)
     else:
         out = skew_mul(
-            _power(rule, cache, e + 1, cap, base), _power(rule, cache, -1, cap, base), cap
+            _power(rule, cache, e + 1, cap, base, images),
+            _power(rule, cache, -1, cap, base, images),
+            cap,
         )
     return _memo_put(cache, e, cap, out)
+
+
+def _mul_by_images(u, images, cap):
+    """The product u V, to grade cap, for u of grades >= 0, from the images
+    images(g, b) = Phi^g(V) known to at least grade b (images(0, b) is V).
+
+    t2^g V = Phi^g(V) t2^g, so u V = sum_g u_g Phi^g(V) t2^g: grade g of u
+    reads Phi^g(V) only below grade cap - g, and every piece
+    u_g Phi^g(V)[l] is a product of coefficient series, filed under grade
+    g + l, so nothing is twisted here.  The bound and gprec are those of
+    skew_mul(u, V, cap), and every grade claims at least its t1-precision:
+    skew_mul files the pieces u_g Phi^g(V_l)[k] before they sum to
+    Phi^g(V)[l + k], so a piece that cancels there still caps its claim."""
+    rule = u.rule
+    v = images(0, cap)
+    vfv = v.val_floor()
+    bound = min(_p(u.gprec) + vfv, _p(v.gprec) + u.val_floor(), _p(cap))
+    if bound == inf and not (u.gprec is None and v.gprec is None):
+        bound = DEFAULT_PRECISION
+    pieces = {}
+    eff = bound
+    for g, ug in u.terms.items():
+        if g + vfv >= eff:
+            continue
+        img = v if g == 0 else images(g, _unp(eff - g))
+        if img.gprec is not None:
+            eff = min(eff, g + img.gprec)
+        for l, x in img.terms.items():
+            if g + l < eff:
+                file_product(pieces, g + l, ug, x)
+    out = {j: sum_filed(rule.field, entry) for j, entry in pieces.items() if j < eff}
+    return SkewSeries(rule, out, _unp(eff))
 
 
 def _evaluate(a, power, cap, base):
@@ -656,21 +704,30 @@ def change_t2(rule, w_el, cap=None):
     N_(j+1) = N_j Phi^j(W) depend only on the factors below cap - j, and
     Phi^j(W) is needed only to that grade as well; each is built to
     exactly that window.
+
+    Both products are read from iterates of Phi, through
+    t2^g V = Phi^g(V) t2^g (see _mul_by_images): W C = sum_g w_g
+    Phi^(g+1)(t1) t2^g from the rule's cached images, and
+    N_(j+1) = sum_g N_j[g] Phi^(j+g)(W) t2^g, where grade g of N_j reads
+    Phi^(j+g)(W) below grade cap - j - g, the window it is built to.  So
+    the only twists are Phi itself, and a fresh rule builds only the power
+    chain of Phi(t1).
     """
     if cap is None:
         cap = min(_p(rule.t2_prec), _p(w_el.gprec), DEFAULT_PRECISION)
     w = SkewSeries(rule, w_el.terms, w_el.gprec).truncate(cap)
-    w0 = w.coeff(0)
-    if w0.is_zero():
-        raise ZeroDivisorCandidate("t2 change needs an invertible grade-zero part")
-    c_el = SkewSeries(rule, rule.coeffs, rule.t2_prec).truncate(cap)
-    wc = skew_mul(w, c_el, cap)
-    # ns[j] is N_(j+1) to grade cap - j; phiw is Phi^j(W) to the same grade
+    if w.coeff(0).is_zero() or w.valuation() < 0:
+        raise ZeroDivisorCandidate(
+            "t2 change needs W of t2-valuation 0 with an invertible grade-zero part"
+        )
+    wc = _mul_by_images(w, lambda g, b: rule.phi_image(g + 1, b), cap)
+    # phiws[k] is Phi^k(W) to grade cap - k, ns[j] is N_(j+1) to grade cap - j
+    phiws = [w]
+    for k in range(1, cap):
+        phiws.append(rule._apply_phi(phiws[-1], cap - k))
     ns = [w]
-    phiw = w
     for j in range(1, cap):
-        phiw = rule._apply_phi(phiw, cap - j)
-        ns.append(skew_mul(ns[-1], phiw, cap - j))
+        ns.append(_mul_by_images(ns[-1], lambda g, b, j=j: phiws[j + g], cap - j))
     one = LaurentSeries.const(rule.field, rule.field.one())
     sums = {}
     out = {}

@@ -6,7 +6,9 @@ compositions, parsed rule products and operator products built on it,
 checked against independent references; for operator products and inverses
 against completions of their truncated tails; for negative twists against
 the ring axioms; for the per-rule twist memo against a rule without it;
-and for canonicalize against its old loop of linearized unit changes."""
+for canonicalize against its old loop of linearized unit changes; and for
+the product from the iterates of Phi against skew_mul and completions of
+its factor's tails."""
 
 import random
 from fractions import Fraction
@@ -28,7 +30,7 @@ from skewlocal.coeff import Field
 from skewlocal.errors import NotSolvable, SkewFieldError
 from skewlocal.parsing import RuleDomain, _run, parse_rule_text, rule_to_text
 from skewlocal.psido import PsiDO, psido_compose, psido_invert
-from skewlocal.series import DEFAULT_PRECISION, LaurentSeries
+from skewlocal.series import DEFAULT_PRECISION, LaurentSeries, _p
 from skewlocal.skew import (
     CommutationRule,
     ParameterChange,
@@ -38,6 +40,7 @@ from skewlocal.skew import (
     _detect_order,
     _evaluate,
     _fix_grade_2i,
+    _mul_by_images,
     _power,
     _tail_cap,
     build_from_invariants,
@@ -358,16 +361,17 @@ def _reference_change_t2(rule, w_el, cap):
 
 
 def _scale_and_add_change_t2(rule, w_el, cap):
-    """change_t2 with its windows, each grade solved by the series ``-`` and
-    ``*``: acc - c'_j N_(j+1)[g - j] for every earlier grade j."""
+    """change_t2 with its windows and its products from the iterates of Phi,
+    each grade solved by the series ``-`` and ``*``: acc - c'_j N_(j+1)[g - j]
+    for every earlier grade j."""
     w = SkewSeries(rule, w_el.terms, w_el.gprec).truncate(cap)
-    c_el = SkewSeries(rule, rule.coeffs, rule.t2_prec).truncate(cap)
-    wc = skew_mul(w, c_el, cap)
+    wc = _mul_by_images(w, lambda g, b: rule.phi_image(g + 1, b), cap)
+    phiws = [w]
+    for k in range(1, cap):
+        phiws.append(rule._apply_phi(phiws[-1], cap - k))
     ns = [w]
-    phiw = w
     for j in range(1, cap):
-        phiw = rule._apply_phi(phiw, cap - j)
-        ns.append(skew_mul(ns[-1], phiw, cap - j))
+        ns.append(_mul_by_images(ns[-1], lambda g, b, j=j: phiws[j + g], cap - j))
     out = {}
     for g in range(0, cap):
         acc = wc.coeff(g)
@@ -1195,6 +1199,86 @@ def test_skew_mul_matches_per_piece_loop(data, more):
         assert _layout(got) == _layout(ref)
 
 
+@settings(max_examples=150, deadline=10000, database=None)
+@given(rule_data(), st.sampled_from([1, 2, 3, "W"]), st.data())
+def test_mul_by_images_matches_skew_mul(data, m, more):
+    """u V from the iterates Phi^g(V) against skew_mul(u, V), for
+    V = Phi^m(t1) with the rule's images and for a random V = W with its
+    iterates built as change_t2 builds them, each side on a fresh rule.
+
+    Both know the same grades.  On exact rules the values are equal and
+    every grade claims at least skew_mul's t1-precision.  It can claim more:
+    skew_mul files the pieces u_g Phi^g(V_l)[k] before they sum to
+    Phi^g(V)[l + k], so a piece that cancels there still caps the grade's
+    precision (C = -t1 + (1 + t1) t2 over Q, u = (1 + O(t1^4)) t2,
+    V = Phi(t1), cap 3: grade 2 is -2 t1 + O(t1^5) here and + O(t1^4) in
+    skew_mul).  Completions of u's truncated tails check that extra claim.
+
+    On t1-truncated rules skew_mul can overclaim where this product does
+    not (over F7 with C = (6 t1 + O(t1^5)) + (1 + O(t1^5)) t2,
+    u = 1 + t2^2, V = Phi(t1), cap 4: skew_mul claims grade 3 as
+    1 + O(t1^5), this product as 1 + O(t1^4), and completions of the rule's
+    tails change the t1^4 term), and both can overclaim alike, so there the
+    two must agree, to the lesser claim, on every grade both keep."""
+    field, _, t1_prec, _ = data
+    prec = more.draw(st.one_of(st.none(), st.integers(4, 7)))
+    nonzero = st.dictionaries(
+        st.integers(-1, 3), elements(field, nonzero=True), min_size=1, max_size=3
+    )
+    grades = more.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+    u = {j: more.draw(nonzero) for j in grades}
+    u_gprec = more.draw(st.one_of(st.none(), st.integers(2, 6)))
+    w = {0: {0: more.draw(elements(field, nonzero=True))}}
+    w[0].update(more.draw(series_data(field, 1, 3, t1_prec)))
+    for j in more.draw(st.lists(st.integers(1, 2), max_size=2, unique=True)):
+        w[j] = more.draw(series_data(field, 0, 3, t1_prec))
+    cap = more.draw(st.integers(2, 7))
+
+    def factors():
+        rule = _rule(data)
+        x = rule.element({j: LaurentSeries(field, c, prec) for j, c in u.items()}, u_gprec)
+        return rule, x, rule.element({j: LaurentSeries(field, c, t1_prec) for j, c in w.items()})
+
+    def direct(rule, x, v):
+        return skew_mul(x, rule.phi_image(m, cap) if m != "W" else v, cap)
+
+    def from_images(rule, x, v):
+        if m != "W":
+            return _mul_by_images(x, lambda g, b: rule.phi_image(m + g, b), cap)
+        iterates = [v]
+        for k in range(1, cap):
+            iterates.append(rule._apply_phi(iterates[-1], cap - k))
+        return _mul_by_images(x, lambda g, b: iterates[g], cap)
+
+    got, want = _outcome(from_images, *factors()), _outcome(direct, *factors())
+    if isinstance(got, type) or isinstance(want, type):
+        assert got == want
+        return
+    assert got.gprec == want.gprec
+    if t1_prec is not None:
+        for j in set(got.terms) & set(want.terms):
+            assert got.terms[j].agrees(want.terms[j])
+        return
+    assert got.agrees(want)
+    for j in set(got.terms) | set(want.terms):
+        assert _p(got.coeff(j).prec) >= _p(want.coeff(j).prec)
+    rule, x, v = factors()
+    for _ in range(3):
+        tails = {
+            j: LaurentSeries(field, {
+                **s.coeffs,
+                **more.draw(st.dictionaries(st.integers(s.prec, s.prec + 3), elements(field))),
+            })
+            for j, s in x.terms.items()
+            if s.prec is not None
+        }
+        done = direct(rule, rule.element({**x.terms, **tails}, x.gprec), v)
+        # a grade dropped as zero to its precision reads as an exact 0, a
+        # known overclaim of skew series, so only kept grades are checked
+        for j, s in got.terms.items():
+            assert s.agrees(done.coeff(j))
+
+
 def _reference_evaluate(a, power, base):
     """_evaluate as one scaled power per term of a, added grade by grade by
     the series ``+``; a grade zero to its precision is dropped only when the
@@ -1321,7 +1405,10 @@ def test_twist_matches_scale_and_add_loop(data, m, cap, more):
         def base():
             return rule.phi_image(m, cap)
 
-        return _reference_evaluate(a, lambda e: _power(rule, pows, e, cap, base), base)
+        images = (lambda g, b: rule.phi_image(m + g, b)) if m > 0 else None
+        return _reference_evaluate(
+            a, lambda e: _power(rule, pows, e, cap, base, images), base
+        )
 
     got = _outcome(_rule(data).twist, a, m, cap)
     ref = _outcome(reference, _rule(data))

@@ -14,8 +14,10 @@ from skewlocal.series import LaurentSeries
 from skewlocal.skew import (
     CommutationRule,
     SkewSeries,
+    _mul_by_images,
     _subst_element,
     build_from_rule,
+    change_t2,
     conj_by_t2,
     delta_extract,
     skew_invert,
@@ -142,6 +144,30 @@ def test_invert_zero_raises():
         skew_invert(r.zero())
     with pytest.raises(ZeroDivisorCandidate):
         skew_invert(r.zero(gprec=5))
+
+
+def test_mul_by_images_stops_at_the_images_precision():
+    """On a rule known below t2^3 the images Phi^g(W) of an exact W are
+    known below t2^3 too, so t2 W = Phi(W) t2 is known below t2^4, as
+    skew_mul finds."""
+    r = build_from_rule(Q, {0: S({1: 1}), 1: S({0: 1})}, t2_prec=3)
+    w = r.element({0: S({0: 1, 1: 1})})
+    iterates = [w]
+    for k in range(1, 6):
+        iterates.append(r._apply_phi(iterates[-1], 6 - k))
+    got = _mul_by_images(r.t2(), lambda g, b: iterates[g], 6)
+    assert got == skew_mul(r.t2(), w, 6)
+    assert got.gprec == 4
+
+
+def test_change_t2_needs_a_unit_of_grade_zero():
+    """t2' = W t2 is a parameter only for W of t2-valuation 0; a term below
+    grade 0 would send change_t2 to an image Phi^g with g < 0."""
+    r = heis()
+    with pytest.raises(ZeroDivisorCandidate):
+        change_t2(r, r.element({1: S({0: 1})}), 4)
+    with pytest.raises(ZeroDivisorCandidate):
+        change_t2(r, r.element({-1: S({0: 1}), 0: S({0: 1})}), 4)
 
 
 def test_coeff_beyond_precision_raises():

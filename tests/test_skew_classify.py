@@ -200,17 +200,40 @@ def test_canonicalize_perturbed_rule_recovers_set():
         assert canon.coeffs.get(j, LaurentSeries.zero(Q)).agrees(want)
 
 
+def _perturbed_rule(cap):
+    m1 = Q.from_int(-1)
+    base = build_from_invariants(Q, 2, m1, 2, 1, Q.from_int(3), Q.from_int(1))
+    w = base.element({0: S({0: 1, 2: 2}), 2: S({1: 1})})
+    return change_t2(base, w, cap)
+
+
 def test_canonicalize_twists_each_owned_series_once(evaluate_calls):
     """A work count, not a time: canonicalizing the perturbed rule at cap 12
     evaluated 3,845 substitutions before rules memoized the twists of their
     own series, and 907 after."""
-    m1 = Q.from_int(-1)
-    base = build_from_invariants(Q, 2, m1, 2, 1, Q.from_int(3), Q.from_int(1))
-    w = base.element({0: S({0: 1, 2: 2}), 2: S({1: 1})})
-    pert = change_t2(base, w, 12)
+    pert = _perturbed_rule(12)
     evaluate_calls[0] = 0
     canonicalize(pert)
     assert evaluate_calls[0] <= 1000
+
+
+def test_change_t2_twists_only_by_phi():
+    """A work count: a t2 move on a fresh rule reads its products from the
+    iterates Phi^g and builds only the power chain of Phi(t1).  Twisting by
+    each Phi^g with its own chain filled m = 1..9 here."""
+    pert = _perturbed_rule(12)
+    change_t2(pert, pert.element({0: S({0: 1}), 3: S({1: 1})}), 12)
+    assert set(pert._pow_cache) == {1}
+
+
+def test_canonicalize_evaluates_at_most_300_substitutions(evaluate_calls):
+    """A work count: canonicalizing the perturbed rule at cap 12 evaluated
+    392 substitutions with one power chain per Phi^g, and 255 with the
+    iterates of Phi."""
+    pert = _perturbed_rule(12)
+    evaluate_calls[0] = 0
+    canonicalize(pert)
+    assert evaluate_calls[0] <= 300
 
 
 def _grade0_changes(records):
@@ -221,10 +244,7 @@ def test_canonicalize_monomializes_in_one_unit_change():
     """A move count, not a time: delta_i becomes c t1^r under one unit
     change t2' = q^(1/i) t2.  On the perturbed rule at cap 12 the loop of
     linearized unit changes it replaces recorded 4 grade-0 changes."""
-    m1 = Q.from_int(-1)
-    base = build_from_invariants(Q, 2, m1, 2, 1, Q.from_int(3), Q.from_int(1))
-    w = base.element({0: S({0: 1, 2: 2}), 2: S({1: 1})})
-    _, _, records = canonicalize(change_t2(base, w, 12))
+    _, _, records = canonicalize(_perturbed_rule(12))
     assert len(_grade0_changes(records)) == 1
 
 

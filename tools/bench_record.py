@@ -10,7 +10,9 @@ so that it runs from committed files only.  Each seed is one pair: both
 sides run ``perfbench/run.py --trace 0`` once on it, and the side that runs
 first alternates from pair to pair, so slow drift of the machine hits both
 alike.  A metric's wins count the pairs in which the change was better, in
-the direction BENCHMARK.json gives for it.
+the direction BENCHMARK.json gives for it.  With ``--trace-seed N`` each
+side also makes one ``--trace 1`` run of every workload on seed N, and its
+per-layer counts and times are recorded under ``traced``.
 """
 
 import argparse
@@ -101,10 +103,10 @@ def checkout(spec, workdir, name):
     return path, rev, False
 
 
-def run_once(path, workload, seed, seconds):
+def run_once(path, workload, seed, seconds, trace=0):
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=path, capture_output=True, text=True,
     )
     if done.returncode != 0:
@@ -121,6 +123,7 @@ def main(argv=None):
     ap.add_argument("--seeds", nargs="+", required=True, help="seeds, or ranges a-b")
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--out", required=True)
+    ap.add_argument("--trace-seed", type=int, help="one traced run per side and workload")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
@@ -148,6 +151,13 @@ def main(argv=None):
                         pair[side]["metrics"])), flush=True)
                 pairs.append(pair)
             record["workloads"][workload] = summarize(pairs, better)
+            if args.trace_seed is not None:
+                traced = {"seed": args.trace_seed}
+                for side in SIDES:
+                    traced[side] = run_once(
+                        sides[side][0], workload, args.trace_seed, args.seconds, trace=1
+                    )["metrics"]
+                record["workloads"][workload]["traced"] = traced
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
