@@ -175,14 +175,6 @@ class CommutationRule:
         self._phi_cache = {}
         self._pow_cache = {}
         self._inverse = None
-        # twists of the series this rule owns (its coefficients and the terms
-        # of its images of t1), keyed by id; _owned keeps each series alive,
-        # so its id stays unique while the rule lives
-        self._owned = {}
-        self._twist_memo = {}
-        self._twist_hits = 0
-        self._twist_misses = 0
-        self._own(clean.values())
 
     @property
     def alpha(self):
@@ -200,19 +192,11 @@ class CommutationRule:
             and self.coeffs == other.coeffs
         )
 
-    def _own(self, series):
-        for s in series:
-            self._owned[id(s)] = s
-
     def cache_info(self):
-        """Entry counts of the image, power and twist caches, and the hits
-        and misses of the twist memo."""
+        """Entry counts of the image and power caches."""
         return {
             "images": len(self._phi_cache),
             "powers": sum(len(c) for c in self._pow_cache.values()),
-            "twists": len(self._twist_memo),
-            "twist_hits": self._twist_hits,
-            "twist_misses": self._twist_misses,
         }
 
     def t1_prec(self):
@@ -268,7 +252,6 @@ class CommutationRule:
             return self.t1()
         if m == -1:
             img = self.inverse_rule(cap).phi_image(1, cap)
-            self._own(img.terms.values())
             return SkewSeries(self, img.terms, img.gprec)
         img = _memo_get(self._phi_cache, m, cap)
         if img is not None:
@@ -280,7 +263,6 @@ class CommutationRule:
             # would move t2 past coefficients by Phi^-1 instead of Phi
             step = 1 if m > 0 else -1
             img = self._apply_phi(self.phi_image(m - step, cap), cap, step)
-            self._own(img.terms.values())
         return _memo_put(self._phi_cache, m, cap, img)
 
     def _apply_phi(self, x, cap, step=1):
@@ -305,27 +287,11 @@ class CommutationRule:
     def twist(self, a, m, cap=None):
         """Phi^m(a) for a coefficient series a: substitute Phi^m(t1).
 
-        cap=None means no forced truncation (see phi_image).  Twists of the
-        series the rule owns are memoized: an exact series has one entry per
-        m, served truncated to any smaller cap (a twist that came out exact
-        is served whole, as the image and power caches serve theirs), and a
-        t1-truncated series has one per m and cap, since its precision
-        claims depend on the cap (see _tail_cap)."""
+        cap=None means no forced truncation (see phi_image)."""
         if cap is not None and cap <= 0:
             return self.zero(cap)
         if m == 0 or a.is_zero():
             return self.from_series(a)
-        if self._owned.get(id(a)) is not a:
-            return self._twist(a, m, cap)
-        key = (m, id(a)) if a.prec is None else (m, id(a), cap)
-        out = _memo_get(self._twist_memo, key, cap)
-        if out is not None:
-            self._twist_hits += 1
-            return out
-        self._twist_misses += 1
-        return _memo_put(self._twist_memo, key, cap, self._twist(a, m, cap))
-
-    def _twist(self, a, m, cap):
         # inverting Phi^m(t1) re-enters the power cache at smaller caps
         pows = self._pow_cache.setdefault(m, {})
 
@@ -914,7 +880,7 @@ class SkewInvariantSet:
     def d(self):
         if self.infinite_i:
             return None
-        return gcd(self.r - 1, self.i) if self.r != 1 else self.i
+        return gcd(self.r - 1, self.i)
 
     def key(self):
         return (self.n, self.xi, self.i, self.r, self.c, self.a)
@@ -961,18 +927,26 @@ def invariants(rule, cap=None):
     reduced, _ = reduce_support(rule, cap)
     n = _detect_order(reduced)
     xi = reduced.zeta
-    support = [j for j in sorted(reduced.coeffs) if j >= 1]
-    if not support:
-        if reduced.t2_prec is None:
-            return SkewInvariantSet(field, n, xi, inf)
-        raise PrecisionExhausted(
-            "no surviving grade below the working precision; i may be "
-            "infinite or beyond reach",
-            required=(reduced.t2_prec or 0) + 1,
-        )
-    i = support[0]
+    i = _least_grade(reduced)
+    if i == inf:
+        return SkewInvariantSet(field, n, xi, inf)
     r, c, a = _read_invariants(reduced, n, i)
     return SkewInvariantSet(field, n, xi, i, r, c, a)
+
+
+def _least_grade(reduced):
+    """The least positive grade i of a rule that reduce_support left; when
+    none survives, inf for an exact rule, else PrecisionExhausted."""
+    support = [j for j in reduced.coeffs if j >= 1]
+    if support:
+        return min(support)
+    if reduced.t2_prec is None:
+        return inf
+    raise PrecisionExhausted(
+        "no surviving grade below the working precision; i may be "
+        "infinite or beyond reach",
+        required=reduced.t2_prec + 1,
+    )
 
 
 def _read_invariants(reduced, n, i):
@@ -1064,16 +1038,9 @@ def canonicalize(rule, cap=None):
     cur, records = reduce_support(rule, cap)
     n = _detect_order(cur)
     xi = cur.zeta
-    support = [j for j in sorted(cur.coeffs) if j >= 1]
-    if not support:
-        if cur.t2_prec is None:
-            invset = SkewInvariantSet(field, n, xi, inf)
-            return invset, cur, records
-        raise PrecisionExhausted(
-            "no surviving grade below the working precision",
-            required=(cur.t2_prec or 0) + 1,
-        )
-    i = support[0]
+    i = _least_grade(cur)
+    if i == inf:
+        return SkewInvariantSet(field, n, xi, inf), cur, records
     one = field.one()
 
     # shift the leading exponent into [0, i) if an exotic input needs it
