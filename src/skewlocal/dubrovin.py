@@ -90,31 +90,17 @@ class Descriptor:
         return "<descriptor %s>" % ("%s((u))" % base if self.series else base)
 
 
-_swap_cache = {}
-
-
 def _swap(a, b):
-    """Normal form of y^b x^a as a map (a', b', k) -> integer coefficient,
-    by exhaustive application of y x -> x y - z with z central."""
-    if a == 0 or b == 0:
-        return {(a, b, 0): 1}
-    key = (a, b)
-    if key in _swap_cache:
-        return _swap_cache[key]
-    # y^b x^a = (y^(b-1) (y x)) x^(a-1) = y^(b-1) x y x^(a-1) - y^(b-1) z x^(a-1)
+    """Normal form of y^b x^a as a map (a', b', k) -> integer coefficient.
+
+    With z central, y^b x^a = sum_k (-1)^k k! C(a, k) C(b, k)
+    x^(a-k) y^(b-k) z^k; consecutive coefficients differ by the factor
+    -(a - k)(b - k) / (k + 1)."""
     out = {}
-    left = _swap(1, b - 1)
-    for (a1, b1, k1), c1 in left.items():
-        # ... x^a1 y^b1 z^k1 * (y x^(a-1)) with the y absorbed on the right
-        tail = _swap(a - 1, b1 + 1)
-        for (a2, b2, k2), c2 in tail.items():
-            m = (a1 + a2, b2, k1 + k2)
-            out[m] = out.get(m, 0) + c1 * c2
-    for (a2, b2, k2), c2 in _swap(a - 1, b - 1).items():
-        m = (a2, b2, k2 + 1)
-        out[m] = out.get(m, 0) - c2
-    out = {m: c for m, c in out.items() if c}
-    _swap_cache[key] = out
+    c = 1
+    for k in range(min(a, b) + 1):
+        out[(a - k, b - k, k)] = c
+        c = -c * (a - k) * (b - k) // (k + 1)
     return out
 
 

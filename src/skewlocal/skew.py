@@ -298,38 +298,27 @@ class CommutationRule:
         def base():
             return self.phi_image(m, cap)
 
-        # Phi^g(Phi^m(t1)) = Phi^(m+g)(t1): positive powers read cached images
-        images = (lambda g, b: self.phi_image(m + g, b)) if m > 0 else None
-        return _evaluate(a, lambda e: _power(self, pows, e, cap, base, images), cap, base)
+        # Phi^g(Phi^m(t1)) = Phi^(m+g)(t1): powers read the cached images
+        images = lambda g, b: self.phi_image(m + g, b)
+        return _evaluate(a, lambda e: _power(self, pows, e, cap, images), cap, base)
 
     # -- inverse rule ---------------------------------------------------------
 
     def inverse_rule(self, t2_prec=None):
-        """The rule for t2^-1 t1 t2, solved order by order."""
+        """The rule D = t2^-1 t1 t2 = sum d_s t2^s: Phi(D) = t1 reads
+        t1 = sum d_s(C) t2^s, which ``_peel`` solves; Phi verifies it."""
         cap = t2_prec if t2_prec is not None else self.default_cap()
         if self._inverse is not None and _p(self._inverse.t2_prec) >= cap:
             return self._inverse
-        d0 = self.coeffs[0].comp_invert()
+        c0inv = self.coeffs[0].comp_invert()
         if set(self.coeffs) == {0}:
-            out = CommutationRule(self.field, {0: d0}, self.t2_prec)
+            out = CommutationRule(self.field, {0: c0inv}, self.t2_prec)
             self._inverse = out
             out._inverse = self
             return out
-        terms = {0: d0}
         t1el = self.t1()
-        for s in range(1, cap):
-            # step s reads the residual only at grades <= s
-            cand = SkewSeries(self, terms, s + 1)
-            resid = self._apply_phi(cand, s + 1) - t1el
-            if resid.val_floor() < s:
-                raise NotSolvable(
-                    "inverse rule solve left residue at grade %s" % resid.valuation()
-                )
-            rho = resid.coeff(s)
-            if not rho.is_zero():
-                terms[s] = (-rho).compose(d0)
-        full = SkewSeries(self, terms, cap)
-        final = self._apply_phi(full, cap) - t1el
+        terms = _peel(t1el, c0inv, lambda c, k: self.twist(c, 1, k), cap)
+        final = self._apply_phi(SkewSeries(self, terms, cap), cap) - t1el
         if not final.is_zero() and final.valuation() < cap:
             raise NotSolvable("inverse rule verification failed")
         out = CommutationRule(self.field, terms, cap)
@@ -368,35 +357,27 @@ def _memo_put(cache, key, cap, value):
     return value
 
 
-def _power(rule, cache, e, cap, base, images=None):
-    """P^e to grade cap for P = base(), memoized in cache with the cap
+def _power(rule, cache, e, cap, images):
+    """P^e to grade cap for P = images(0, cap), memoized in cache with the cap
     each entry was computed at.
 
     With images(g, b) = Phi^g(P) to grade b, a positive power is
-    P^e = P^(e-1) P = sum_g P^(e-1)[g] Phi^g(P) t2^g (t2^g P = Phi^g(P) t2^g),
-    and grade g of P^(e-1) reads Phi^g(P) only below grade cap - g.  For a
-    rule's chain of P = Phi^m(t1), m >= 1, the images are Phi^(m+g)(t1); each
+    P^e = P^(e-1) P = sum_g P^(e-1)[g] Phi^g(P) t2^g (see _mul_by_images).
+    For a rule's chain of P = Phi^m(t1) the images are Phi^(m+g)(t1); each
     is built by Phi from the one before, twisting with the chain of Phi(t1)
-    at a smaller cap, so that chain is the only one a positive twist needs.
-    Without images every factor P is twisted by skew_mul."""
+    at a smaller cap, so that chain is the only positive one a twist needs."""
     out = _memo_get(cache, e, cap)
     if out is not None:
         return out
     if e == 0:
         out = rule.one()
     elif e > 0:
-        prev = _power(rule, cache, e - 1, cap, base, images)
-        if images is None:
-            out = skew_mul(prev, base(), cap)
-        else:
-            out = _mul_by_images(prev, images, cap)
+        out = _mul_by_images(_power(rule, cache, e - 1, cap, images), images, cap)
     elif e == -1:
-        out = skew_invert(base(), cap)
+        out = skew_invert(images(0, cap), cap)
     else:
         out = skew_mul(
-            _power(rule, cache, e + 1, cap, base, images),
-            _power(rule, cache, -1, cap, base, images),
-            cap,
+            _power(rule, cache, e + 1, cap, images), _power(rule, cache, -1, cap, images), cap
         )
     return _memo_put(cache, e, cap, out)
 
@@ -433,6 +414,21 @@ def _mul_by_images(u, images, cap):
     return SkewSeries(rule, out, _unp(eff))
 
 
+def _iterates(rule, v, cap):
+    """images(g, b) = Phi^g(v) to grade cap - g, which serves every
+    b <= cap - g that _mul_by_images asks for.  Grade l of Phi(x) reads x
+    only at grades <= l, so each is Phi of the one before, built on first
+    use."""
+    its = [v]
+
+    def images(g, b):
+        while len(its) <= g:
+            its.append(rule._apply_phi(its[-1], cap - len(its)))
+        return its[g]
+
+    return images
+
+
 def _evaluate(a, power, cap, base):
     """a(P) = sum a_e P^e for a coefficient series a with at least one term.
 
@@ -462,24 +458,21 @@ def _tail_cap(acc, aprec, base):
     """Cap the coefficient precisions of a substituted series.
 
     When a series a with t1-precision aprec is evaluated at a skew element
-    base whose grade-zero part has valuation 1, the unknown exponents
-    e >= aprec of a contribute to grade g at t1-valuations at least
-    aprec - k * (1 - v_min), where k bounds how many positive-grade factors
-    of base fit into grade g and v_min is the worst coefficient valuation.
+    base of grades >= 0 whose grade-zero part has valuation 1, the unknown
+    exponents e >= aprec of a contribute to grade g at t1-valuations at
+    least aprec - k * (1 - v_g), where k bounds how many positive-grade
+    factors of base fit into grade g and v_g is the worst valuation of
+    base's grades 1..g: grade g reads no grade of base above g, so neither
+    does its bound, and it holds at every cap base is cut to.
     """
-    rule = acc.rule
     pos = [g for g in base.terms if g >= 1]
     terms = {}
-    if not pos:
-        for g, s in acc.terms.items():
-            terms[g] = s.truncate(aprec) if g == 0 else s
-    else:
-        i_min = min(pos)
-        v_min = min([1] + [base.terms[g].valuation() for g in pos])
-        for g, s in acc.terms.items():
-            k = max(g, 0) // i_min
-            terms[g] = s.truncate(aprec - k * (1 - v_min))
-    return SkewSeries(rule, terms, acc.gprec)
+    for g, s in acc.terms.items():
+        below = [h for h in pos if h <= g]
+        k = g // min(below) if below else 0
+        v_g = min([1] + [base.terms[h].valuation() for h in below])
+        terms[g] = s.truncate(aprec - k * (1 - v_g))
+    return SkewSeries(acc.rule, terms, acc.gprec)
 
 
 def build_from_rule(field, coeffs, t2_prec=None):
@@ -608,47 +601,57 @@ def scale_t2(rule, lam):
 
 
 def change_t1(rule, y_el, cap=None):
-    """Rewrite the rule for the new first parameter t1' = y_el (t2 fixed).
-
-    The grade-zero part of y_el must have valuation 1; the new coefficients
-    are peeled off grade by grade and the expansion is verified exactly.
-    """
+    """Rewrite the rule for the new first parameter t1' = y_el (t2 fixed):
+    Phi(y) = sum c'_j(y) t2^j, solved by ``_peel`` with S = y.  The
+    grade-zero part of y_el must have valuation 1."""
     if cap is None:
         cap = min(_p(rule.t2_prec), _p(y_el.gprec), DEFAULT_PRECISION)
     y0 = y_el.coeff(0)
     autonorm.DiskAutomorphism(y0)  # validates valuation 1, unit linear term
-    y = y_el.truncate(cap)
-    rebound = SkewSeries(rule, y.terms, y.gprec)
-    resid = rule._apply_phi(rebound, cap)
-    y0inv = y0.comp_invert()
-    out = {}
+    rebound = SkewSeries(rule, y_el.terms, y_el.gprec).truncate(cap)
     pow_cache = {}
+    out = _peel(
+        rule._apply_phi(rebound, cap),
+        y0.comp_invert(),
+        lambda c, k: _subst_element(rule, c, rebound, k, pow_cache),
+        cap,
+    )
+    return CommutationRule(rule.field, out, cap)
+
+
+def _peel(x, s0inv, subst, cap):
+    """The c_j, j < cap, with x = sum_j c_j(S) t2^j, for S of grades >= 0
+    whose grade-zero part s_0 has valuation 1: change_t1 solves
+    Phi(y) = sum c'_j(y) t2^j (S = y), inverse_rule t1 = sum d_s(C) t2^s
+    (S = C).  Grade j of x - sum_(l<j) c_l(S) t2^l is c_j(s_0), so c_j is
+    that grade composed with s0inv = s_0^-1; subst(c, k) is c(S) to grade
+    k.  What is left below cap must vanish: the expansion is verified."""
+    resid = x
+    out = {}
     for j in range(0, cap):
         if resid.val_floor() > j:
             continue
         if resid.valuation() < j:
-            raise NotSolvable(
-                "change of t1 left residue below grade %d" % j
-            )
-        rho = resid.coeff(j)
-        cj = rho.compose(y0inv)
+            raise NotSolvable("peeling left residue below grade %d" % j)
+        cj = resid.coeff(j).compose(s0inv)
         if cj.is_zero():
             continue
         out[j] = cj
-        term = _subst_element(rule, cj, rebound, cap - j, pow_cache).rshift_t2(j)
-        resid = resid - term
+        resid = resid - subst(cj, cap - j).rshift_t2(j)
     if resid.terms and resid.valuation() < cap:
-        raise NotSolvable("change of t1 did not close at the working precision")
-    return CommutationRule(rule.field, out, cap)
+        raise NotSolvable("peeling did not close at the working precision")
+    return out
 
 
 def _subst_element(rule, a, S, cap, pow_cache):
-    """a(S) for a coefficient series a and a skew element S with unit
-    grade-zero part; powers of S are memoized in pow_cache."""
-    def base():
-        return S
-
-    return _evaluate(a, lambda e: _power(rule, pow_cache, e, cap, base), cap, base)
+    """a(S) for a coefficient series a and a skew element S of grades >= 0
+    with unit grade-zero part.  Powers of S are memoized in pow_cache, and
+    beside them, under "images", the iterates Phi^g(S) they multiply by
+    with the cap they serve."""
+    if pow_cache.get("images", (0,))[0] < cap:
+        pow_cache["images"] = (cap, _iterates(rule, S, cap))
+    images = pow_cache["images"][1]
+    return _evaluate(a, lambda e: _power(rule, pow_cache, e, cap, images), cap, lambda: S)
 
 
 def change_t2(rule, w_el, cap=None):
@@ -665,19 +668,14 @@ def change_t2(rule, w_el, cap=None):
     unit tau_(j+1): c'_g = ((W C)[g] - sum_(j<g) c'_j N_(j+1)[g-j]) / tau_(g+1).
     W C twists C only by the grades of W, and no inverse of W is formed.
 
-    The solve below grade cap reads N_j only below grade cap - j + 1.
-    Twists have grade valuation >= 0, so those grades of
-    N_(j+1) = N_j Phi^j(W) depend only on the factors below cap - j, and
-    Phi^j(W) is needed only to that grade as well; each is built to
-    exactly that window.
-
+    The solve below grade cap reads N_(j+1) only below grade cap - j.
     Both products are read from iterates of Phi, through
     t2^g V = Phi^g(V) t2^g (see _mul_by_images): W C = sum_g w_g
     Phi^(g+1)(t1) t2^g from the rule's cached images, and
-    N_(j+1) = sum_g N_j[g] Phi^(j+g)(W) t2^g, where grade g of N_j reads
-    Phi^(j+g)(W) below grade cap - j - g, the window it is built to.  So
-    the only twists are Phi itself, and a fresh rule builds only the power
-    chain of Phi(t1).
+    N_(j+1) = sum_g N_j[g] Phi^(j+g)(W) t2^g, whose grade g reads
+    Phi^(j+g)(W) below grade cap - j - g (see _iterates).  So the only
+    twists are Phi itself, and a fresh rule builds only the power chain of
+    Phi(t1).
     """
     if cap is None:
         cap = min(_p(rule.t2_prec), _p(w_el.gprec), DEFAULT_PRECISION)
@@ -687,13 +685,11 @@ def change_t2(rule, w_el, cap=None):
             "t2 change needs W of t2-valuation 0 with an invertible grade-zero part"
         )
     wc = _mul_by_images(w, lambda g, b: rule.phi_image(g + 1, b), cap)
-    # phiws[k] is Phi^k(W) to grade cap - k, ns[j] is N_(j+1) to grade cap - j
-    phiws = [w]
-    for k in range(1, cap):
-        phiws.append(rule._apply_phi(phiws[-1], cap - k))
+    phiw = _iterates(rule, w, cap)
+    # ns[j] is N_(j+1) to grade cap - j
     ns = [w]
     for j in range(1, cap):
-        ns.append(_mul_by_images(ns[-1], lambda g, b, j=j: phiws[j + g], cap - j))
+        ns.append(_mul_by_images(ns[-1], lambda g, b, j=j: phiw(j + g, b), cap - j))
     one = LaurentSeries.const(rule.field, rule.field.one())
     sums = {}
     out = {}

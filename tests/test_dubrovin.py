@@ -1,4 +1,6 @@
 import random
+import time
+from math import factorial
 
 import pytest
 
@@ -50,6 +52,18 @@ def test_z_is_central():
     assert z * y == y * z
     assert x * y - y * x == z
 
+
+def test_high_degree_swap_is_closed_form():
+    """y^1200 x^1200 in one product: the recursive rewrite it replaces
+    exceeded Python's recursion limit there.  The coefficient of z^1200 is
+    1200!, and w = 0."""
+    start = time.perf_counter()
+    got = HeisenbergElement.monomial(D, b=1200) * HeisenbergElement.monomial(D, a=1200)
+    assert valuation_w(got) == 0
+    assert got.coeff(1200, 1200, 0) == 1
+    assert got.coeff(0, 0, 1200) == factorial(1200)
+    assert len(got.levels) == 1201
+    assert time.perf_counter() - start < 5.0
 
 def test_valuation_examples():
     x = HeisenbergElement.x(D)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -287,6 +288,33 @@ def test_inverse_rule_oracle():
     assert y.agrees(r.t1(), 6)
 
 
+def test_inverse_rule_applies_phi_once_to_verify(monkeypatch):
+    """On C = t1 + t1 t2 + t2^3, the inverse rule to grade 12 twists each
+    d_s once as it peels it, and applies Phi to the whole solution only to
+    verify it: at most 2 applications of Phi and 3 cached entries, counted
+    with their recursive calls (a loop of one Phi per grade made 12 and
+    13)."""
+    from skewlocal import skew
+
+    counts = {"phi": 0, "stores": 0}
+    apply_phi, memo_put = CommutationRule._apply_phi, skew._memo_put
+
+    def counted_phi(self, *args):
+        counts["phi"] += 1
+        return apply_phi(self, *args)
+
+    def counted_put(*args):
+        counts["stores"] += 1
+        return memo_put(*args)
+
+    monkeypatch.setattr(CommutationRule, "_apply_phi", counted_phi)
+    monkeypatch.setattr(skew, "_memo_put", counted_put)
+    rule = build_from_rule(Q, {0: S({1: 1}), 1: S({1: 1}), 3: S({0: 1})})
+    inv = rule.inverse_rule(12)
+    assert counts["phi"] <= 2 and counts["stores"] <= 3
+    assert inv.coeffs[1] == S({1: -1}) and inv.coeffs[11] == S({0: -1, 1: -1})
+    assert rule._apply_phi(rule.phi_image(-1, 12), 12).agrees(rule.t1(), 12)
+
 def test_inverse_rule_of_twisted_rule_is_exact():
     C3 = Field.cyclotomic(3)
     r = twisted(C3)
@@ -376,19 +404,51 @@ def test_cache_info_counts_entries_hits_and_misses():
     assert rule.cache_info() == {"images": 2, "powers": 4}
 
 
-def test_tail_cap_reads_the_image_at_the_cap_of_the_call():
-    """Cut to grade 2, the cap-3 twist of a = 5 t1 + O(t1^4), a term of
-    Phi^-2(t1), claims O(t1^3) at t2, and the cap-2 twist claims O(t1^4):
-    the precision cap of a truncated substitution reads Phi^-1(t1) at the
-    cap of the call."""
+def test_tail_cap_claims_do_not_depend_on_the_cap():
+    """a = 5 t1 + O(t1^5) is a term of Phi^-2(t1).  Its cap-3 and cap-2
+    twists by Phi^-1 both claim 2 t1 + O(t1^5) at t2: grade g of a
+    substitution reads no grade of the image above g, and neither does the
+    precision cap on it.  Completions of the rule's tails agree with both
+    claims below t1^5 and differ at t1^5."""
     F7 = Field.prime_field(7)
-    rule = build_from_rule(
-        F7, {0: S({1: 1}, 5, F7), 1: S({1: 1}, 5, F7), 2: S({0: 1}, 5, F7)}
-    )
+    known = {0: {1: 1}, 1: {1: 1}, 2: {0: 1}}
+
+    def rule_with(tails, prec):
+        return build_from_rule(
+            F7, {j: S({**c, **tails.get(j, {})}, prec, F7) for j, c in known.items()}
+        )
+
+    rule = rule_with({}, 5)
     a = rule.phi_image(-2, 3).terms[1]
-    assert a == S({1: 5}, 4, F7)
+    assert a == S({1: 5}, 5, F7)
     big = rule.twist(a, -1, 3)
     small = rule.twist(a, -1, 2)
-    assert big.truncate(2).coeff(1) == S({1: 2}, 3, F7)
-    assert small.coeff(1) == S({1: 2}, 4, F7)
+    claim = S({1: 2}, 5, F7)
+    assert big.coeff(1) == claim and small.coeff(1) == claim
     assert small == rule.twist(LaurentSeries(F7, a.coeffs, a.prec), -1, 2)
+    rng = random.Random(5)
+    fifth = set()
+    for _ in range(12):
+        done = rule_with({j: {e: rng.randrange(7) for e in range(5, 10)} for j in known}, 10)
+        got = done.twist(done.phi_image(-2, 3).terms[1], -1, 3).coeff(1)
+        assert claim.agrees(got)
+        fifth.add(got.coeffs.get(5))
+    assert len(fifth) > 1
+
+
+def test_twist_claims_do_not_depend_on_earlier_calls():
+    """A cap-3 twist first leaves the cap-2 twist of the same series as on a
+    cold rule, (2 t1 + O(t1^5)) t2."""
+    F7 = Field.prime_field(7)
+
+    def rule():
+        return build_from_rule(
+            F7, {0: S({1: 1}, 5, F7), 1: S({1: 1}, 5, F7), 2: S({0: 1}, 5, F7)}, t2_prec=3
+        )
+
+    x = S({1: 1}, 5, F7)
+    warm = rule()
+    warm.twist(x, 2, 3)
+    cold = rule().twist(x, 2, 2)
+    assert warm.twist(x, 2, 2) == cold
+    assert cold.coeff(1) == S({1: 2}, 5, F7)
