@@ -318,15 +318,13 @@ def normalize(auto, prec=None):
     if cur.image != expected:
         raise NotSolvable("reduction left unexpected coefficients")
 
-    d = i_alpha - 1
+    # x counts modulo (i_alpha - 1)-th powers, and i_alpha >= 2 here
     x_class = x
-    if d >= 1:
-        try:
-            ok, _ = field.is_dth_power(x, d)
-            if ok:
-                x_class = one
-        except UnsupportedField:
-            pass
+    try:
+        if field.is_dth_power(x, i_alpha - 1)[0]:
+            x_class = one
+    except UnsupportedField:
+        pass
     return NormalFormInvariants(
         zeta, n, i_alpha, x, y, x_class, total, DiskAutomorphism(expected), prec
     )
@@ -349,14 +347,17 @@ def conjugate_test(a, b, prec=None):
         return "conjugate"
     if na.y != nb.y:
         return "not_conjugate"
-    if na.x == nb.x:
-        return "conjugate"
-    d = na.i_alpha - 1
-    if d == 0:
-        return "conjugate" if na.x == nb.x else "not_conjugate"
-    q = field.div(na.x, nb.x)
+    answer = same_mod_powers(field, na.x, nb.x, na.i_alpha - 1)
+    return {"yes": "conjugate", "no": "not_conjugate"}.get(answer, answer)
+
+
+def same_mod_powers(field, a, b, d):
+    """Whether nonzero a and b agree modulo d-th powers (a / b is a d-th
+    power): "yes", "no", or "undecided" when the field cannot decide."""
+    if a == b:
+        return "yes"
     try:
-        ok, _ = field.is_dth_power(q, d)
+        ok, _ = field.is_dth_power(field.div(a, b), d)
     except UnsupportedField:
         return "undecided"
-    return "conjugate" if ok else "not_conjugate"
+    return "yes" if ok else "no"

@@ -458,13 +458,16 @@ def _prec_token(value):
     return "exact" if value is None else str(value)
 
 
-def _parse_prec_token(text, pos):
+def _parse_prec_token(key, text):
     if text == "exact":
         return None
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        raise ParseError("bad precision %r at position %d" % (text, pos))
+        raise ParseError("bad %s precision %r: expected 'exact' or an integer" % (key, text))
+    if value < 0:
+        raise ParseError("%s precision must be >= 0, got %d" % (key, value))
+    return value
 
 
 def parse_rule_text(text):
@@ -475,9 +478,7 @@ def parse_rule_text(text):
         C = t1 + t2
     """
     field = None
-    t1_prec = None
-    t2_prec = None
-    saw_prec = False
+    precs = {"t1": None, "t2": None}
     c_value = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -487,17 +488,13 @@ def parse_rule_text(text):
             field = Field.from_text(line[len("field:"):])
             continue
         if line.startswith("prec:"):
-            saw_prec = True
             for part in line[len("prec:"):].split():
                 if "=" not in part:
                     raise ParseError("bad precision entry %r" % part)
                 key, val = part.split("=", 1)
-                if key == "t1":
-                    t1_prec = _parse_prec_token(val, 0)
-                elif key == "t2":
-                    t2_prec = _parse_prec_token(val, 0)
-                else:
+                if key not in precs:
                     raise ParseError("unknown precision key %r" % key)
+                precs[key] = _parse_prec_token(key, val)
             continue
         if line.startswith("C") and line.lstrip("C").lstrip().startswith("="):
             if field is None:
@@ -510,12 +507,10 @@ def parse_rule_text(text):
         raise ParseError("rule file has no field line")
     if c_value is None:
         raise ParseError("rule file has no C line")
-    gp = c_value.gprec
-    if saw_prec and t2_prec is not None:
-        gp = t2_prec if gp is None else min(gp, t2_prec)
+    gp = _unp(min(_p(c_value.gprec), _p(precs["t2"])))
     coeffs = c_value.coeffs
-    if saw_prec and t1_prec is not None:
-        coeffs = {j: s.truncate(t1_prec) for j, s in coeffs.items()}
+    if precs["t1"] is not None:
+        coeffs = {j: s.truncate(precs["t1"]) for j, s in coeffs.items()}
     c0 = coeffs.get(0)
     if c0 is None or c0.is_zero() or (gp is not None and gp <= 0):
         raise ParseError("C needs a nonzero t2-free term c_0(t1)")

@@ -172,7 +172,6 @@ class CommutationRule:
             raise ValueError("rule needs a grade-zero coefficient c_0")
         self.coeffs = clean
         self._alpha = autonorm.DiskAutomorphism(clean[0])  # validates c_0
-        self._phi_cache = {}
         self._pow_cache = {}
         self._inverse = None
 
@@ -193,11 +192,11 @@ class CommutationRule:
         )
 
     def cache_info(self):
-        """Entry counts of the image and power caches."""
-        return {
-            "images": len(self._phi_cache),
-            "powers": sum(len(c) for c in self._pow_cache.values()),
-        }
+        """Entry counts of the power chains: "images" counts the entries 1
+        (the images Phi^m(t1)), "powers" every other entry."""
+        images = sum(1 in chain for chain in self._pow_cache.values())
+        entries = sum(len(chain) for chain in self._pow_cache.values())
+        return {"images": images, "powers": entries - images}
 
     def t1_prec(self):
         precs = [s.prec for s in self.coeffs.values() if s.prec is not None]
@@ -253,17 +252,19 @@ class CommutationRule:
         if m == -1:
             img = self.inverse_rule(cap).phi_image(1, cap)
             return SkewSeries(self, img.terms, img.gprec)
-        img = _memo_get(self._phi_cache, m, cap)
+        # the image is entry 1 of its own power chain
+        chain = self._pow_cache.setdefault(m, {})
+        img = _memo_get(chain, 1, cap)
         if img is not None:
             return img
         if m == 1:
-            img = SkewSeries(self, self.coeffs, self.t2_prec)
+            img = SkewSeries(self, self.coeffs, self.t2_prec).truncate(cap)
         else:
             # Phi^-1 is applied in this ring: the inverse rule's own products
             # would move t2 past coefficients by Phi^-1 instead of Phi
             step = 1 if m > 0 else -1
             img = self._apply_phi(self.phi_image(m - step, cap), cap, step)
-        return _memo_put(self._phi_cache, m, cap, img)
+        return _memo_put(chain, 1, cap, img)
 
     def _apply_phi(self, x, cap, step=1):
         """Phi^step (step = +-1) applied to an element: sum Phi^step(x_l) t2^l."""
@@ -285,22 +286,17 @@ class CommutationRule:
         return SkewSeries(self, acc, _unp(min(gp, capg)))
 
     def twist(self, a, m, cap=None):
-        """Phi^m(a) for a coefficient series a: substitute Phi^m(t1).
+        """Phi^m(a) for a coefficient series a: substitute P = Phi^m(t1)
+        through the rule's chain m, with images Phi^g(P) = Phi^(m+g)(t1).
 
         cap=None means no forced truncation (see phi_image)."""
         if cap is not None and cap <= 0:
             return self.zero(cap)
         if m == 0 or a.is_zero():
             return self.from_series(a)
-        # inverting Phi^m(t1) re-enters the power cache at smaller caps
-        pows = self._pow_cache.setdefault(m, {})
-
-        def base():
-            return self.phi_image(m, cap)
-
-        # Phi^g(Phi^m(t1)) = Phi^(m+g)(t1): powers read the cached images
-        images = lambda g, b: self.phi_image(m + g, b)
-        return _evaluate(a, lambda e: _power(self, pows, e, cap, images), cap, base)
+        # inverting Phi^m(t1) re-enters the chain at smaller caps
+        chain = self._pow_cache.setdefault(m, {})
+        return _substitute(self, a, lambda g, b: self.phi_image(m + g, b), chain, cap)
 
     # -- inverse rule ---------------------------------------------------------
 
@@ -359,19 +355,22 @@ def _memo_put(cache, key, cap, value):
 
 def _power(rule, cache, e, cap, images):
     """P^e to grade cap for P = images(0, cap), memoized in cache with the cap
-    each entry was computed at.
+    each entry was computed at.  P^0 and P^1 (P cut to the cap) are not
+    stored: a rule's chain m holds Phi^m(t1) at entry 1 (see phi_image).
 
     With images(g, b) = Phi^g(P) to grade b, a positive power is
     P^e = P^(e-1) P = sum_g P^(e-1)[g] Phi^g(P) t2^g (see _mul_by_images).
     For a rule's chain of P = Phi^m(t1) the images are Phi^(m+g)(t1); each
     is built by Phi from the one before, twisting with the chain of Phi(t1)
     at a smaller cap, so that chain is the only positive one a twist needs."""
+    if e == 0:
+        return rule.one()
+    if e == 1:
+        return images(0, cap).truncate(cap)
     out = _memo_get(cache, e, cap)
     if out is not None:
         return out
-    if e == 0:
-        out = rule.one()
-    elif e > 0:
+    if e > 0:
         out = _mul_by_images(_power(rule, cache, e - 1, cap, images), images, cap)
     elif e == -1:
         out = skew_invert(images(0, cap), cap)
@@ -427,6 +426,13 @@ def _iterates(rule, v, cap):
         return its[g]
 
     return images
+
+
+def _substitute(rule, a, images, pows, cap):
+    """a(P) to grade cap for P = images(0, cap), where images(g, b) is
+    Phi^g(P) to at least grade b and pows memoizes the powers of P."""
+    power = lambda e: _power(rule, pows, e, cap, images)
+    return _evaluate(a, power, cap, lambda: images(0, cap))
 
 
 def _evaluate(a, power, cap, base):
@@ -602,18 +608,21 @@ def scale_t2(rule, lam):
 
 def change_t1(rule, y_el, cap=None):
     """Rewrite the rule for the new first parameter t1' = y_el (t2 fixed):
-    Phi(y) = sum c'_j(y) t2^j, solved by ``_peel`` with S = y.  The
-    grade-zero part of y_el must have valuation 1."""
+    Phi(y) = sum c'_j(y) t2^j, solved by ``_peel`` with S = y.  Each c'_j(y)
+    is one ``_substitute`` through the iterates Phi^g(y) and powers of y
+    that the move builds once, at its cap.  The grade-zero part of y_el
+    must have valuation 1."""
     if cap is None:
         cap = min(_p(rule.t2_prec), _p(y_el.gprec), DEFAULT_PRECISION)
     y0 = y_el.coeff(0)
     autonorm.DiskAutomorphism(y0)  # validates valuation 1, unit linear term
     rebound = SkewSeries(rule, y_el.terms, y_el.gprec).truncate(cap)
-    pow_cache = {}
+    images = _iterates(rule, rebound, cap)
+    pows = {}
     out = _peel(
         rule._apply_phi(rebound, cap),
         y0.comp_invert(),
-        lambda c, k: _subst_element(rule, c, rebound, k, pow_cache),
+        lambda c, k: _substitute(rule, c, images, pows, k),
         cap,
     )
     return CommutationRule(rule.field, out, cap)
@@ -641,17 +650,6 @@ def _peel(x, s0inv, subst, cap):
     if resid.terms and resid.valuation() < cap:
         raise NotSolvable("peeling did not close at the working precision")
     return out
-
-
-def _subst_element(rule, a, S, cap, pow_cache):
-    """a(S) for a coefficient series a and a skew element S of grades >= 0
-    with unit grade-zero part.  Powers of S are memoized in pow_cache, and
-    beside them, under "images", the iterates Phi^g(S) they multiply by
-    with the cap they serve."""
-    if pow_cache.get("images", (0,))[0] < cap:
-        pow_cache["images"] = (cap, _iterates(rule, S, cap))
-    images = pow_cache["images"][1]
-    return _evaluate(a, lambda e: _power(rule, pow_cache, e, cap, images), cap, lambda: S)
 
 
 def change_t2(rule, w_el, cap=None):
@@ -902,14 +900,7 @@ class SkewInvariantSet:
             return "yes"
         if self.r != other.r or self.a != other.a:
             return "no"
-        if self.c == other.c:
-            return "yes"
-        q = self.field.div(self.c, other.c)
-        try:
-            ok, _ = self.field.is_dth_power(q, self.d)
-        except UnsupportedField:
-            return "undecided"
-        return "yes" if ok else "no"
+        return autonorm.same_mod_powers(self.field, self.c, other.c, self.d)
 
     def __repr__(self):
         return "<invariants n=%r xi=%r i=%r r=%r c=%r a=%r>" % self.key()

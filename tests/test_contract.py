@@ -3,12 +3,14 @@ standard library, and its arithmetic is exact, with no floating-point or
 complex numbers (``math.inf`` is the one unbounded-precision sentinel)."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 import skewlocal
 
 SOURCES = sorted(Path(skewlocal.__file__).parent.glob("*.py"))
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def _nodes():
@@ -46,3 +48,37 @@ def test_no_float_or_complex_numbers():
         ):
             bad.append((where, node.func.id))
     assert bad == []
+
+
+def _tracer_tables():
+    """The SPANNED, PARSERS and COEFF_COUNTERS tables of the benchmark's
+    tracer, read from its source without importing it."""
+    tables = {}
+    for node in ast.parse(TRACER.read_text(), filename=str(TRACER)).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("SPANNED", "PARSERS", "COEFF_COUNTERS"):
+                tables[name] = ast.literal_eval(node.value)
+    return tables
+
+
+def test_benchmark_tracer_targets_resolve():
+    """Every name the benchmark's tracer wraps exists in the package, so
+    deleting one fails here and not only in a traced benchmark run.  A
+    spanned name must be defined on its owner itself, as the tracer reads
+    it from the owner's ``__dict__``."""
+    tables = _tracer_tables()
+    assert set(tables) == {"SPANNED", "PARSERS", "COEFF_COUNTERS"}
+    targets = [(module, path, True) for module, path in tables["SPANNED"].values()]
+    targets += [("skewlocal.parsing", name, False) for name in tables["PARSERS"]]
+    targets += [("skewlocal.coeff", "Field." + name, False) for name in tables["COEFF_COUNTERS"]]
+    missing = []
+    for module, path, own in targets:
+        *parents, attr = path.split(".")
+        owner = importlib.import_module(module)
+        for part in parents:
+            owner = getattr(owner, part, None)
+        found = owner is not None and (attr in vars(owner) if own else hasattr(owner, attr))
+        if not (found and callable(getattr(owner, attr))):
+            missing.append((module, path))
+    assert missing == []

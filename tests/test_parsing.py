@@ -156,6 +156,19 @@ def test_rule_file_errors():
         parse_rule_text("field: Q\nC = t1 / t2")
 
 
+def test_rule_file_precision_errors_name_the_key():
+    """A bad precision token names its key, and a negative precision is
+    refused as such, not later as a missing c_0."""
+    with pytest.raises(ParseError, match=r"^bad t1 precision 'abc'"):
+        parse_rule_text("field: Q\nprec: t1=abc t2=5\nC = t1")
+    with pytest.raises(ParseError, match=r"^bad t2 precision '4x'"):
+        parse_rule_text("field: Q\nprec: t1=exact t2=4x\nC = t1")
+    with pytest.raises(ParseError, match=r"^t1 precision must be >= 0, got -2$"):
+        parse_rule_text("field: Q\nprec: t1=-2 t2=5\nC = t1 + t2")
+    with pytest.raises(ParseError, match=r"^t2 precision must be >= 0, got -3$"):
+        parse_rule_text("field: Q\nprec: t1=exact t2=-3\nC = t1 + t2")
+
+
 def test_rule_without_c0_is_a_parse_error():
     for text in (
         "field: Q\nC = t2 + t1*t2^2",

@@ -15,8 +15,9 @@ from skewlocal.series import LaurentSeries
 from skewlocal.skew import (
     CommutationRule,
     SkewSeries,
+    _iterates,
     _mul_by_images,
-    _subst_element,
+    _substitute,
     build_from_rule,
     change_t2,
     conj_by_t2,
@@ -332,6 +333,16 @@ def test_phi_image_cache_respects_caps():
     assert again.agrees(deep, 5)
 
 
+def test_phi_image_of_the_rule_is_cut_to_the_cap():
+    """Phi(t1) = C is cut to the cap like every other image, on the first
+    call as on the cached ones."""
+    r = build_from_rule(Q, {0: S({1: 1}), 1: S({2: 1}), 5: S({1: 3})}, t2_prec=10)
+    first = r.phi_image(1, 3)
+    assert first.format() == "t1 + t1^2*t2 + O(t2^3)"
+    assert r.phi_image(1, 3) == first
+    assert r.phi_image(1, 10).format() == "t1 + t1^2*t2 + 3*t1*t2^5 + O(t2^10)"
+
+
 def test_rshift_and_scale():
     r = heis()
     u = r.element({1: S({0: 1})}, gprec=5)
@@ -367,30 +378,33 @@ def test_truncated_series_at_an_element_caps_each_grade():
     """a = t1 + t1^2 + O(t1^6) at P = t1 + t2 in heis(): P^2 = t1^2 + 2 t1 t2
     + 2 t2^2, and each t2 factor in a power of P lowers its t1-degree by one,
     so the unknown terms a_e P^e, e >= 6, reach grade g from t1^(6 - g) on.
-    twist substitutes P = Phi(t1); _subst_element substitutes P itself."""
+    twist substitutes P = Phi(t1) through the rule's chain 1; _substitute
+    reads P from its iterates, as change_t1 does."""
     rule = heis()
     a = S({1: 1, 2: 1}, 6)
     want = SkewSeries(rule, {0: S({1: 1, 2: 1}, 6), 1: S({0: 1, 1: 2}, 5), 2: S({0: 2}, 4)}, 3)
     P = rule.element({0: S({1: 1}), 1: S({0: 1})})
     assert rule.twist(a, 1, 3) == want
-    assert _subst_element(rule, a, P, 3, {}) == want
+    assert _substitute(rule, a, _iterates(rule, P, 3), {}, 3) == want
     # every completion of a's tail agrees with the capped result
     for tail in ({6: 1}, {6: -2, 7: 5}, {8: 3}):
         done = rule.twist(S({1: 1, 2: 1, **tail}), 1, 3)
         assert all(want.coeff(g).agrees(done.coeff(g)) for g in range(3))
 
 
-def test_subst_element_cuts_cached_powers_to_its_cap():
-    """Powers cached at a larger cap (change_t1 shares one cache over
-    shrinking caps) are cut back: the result is the fresh one, to grade 3."""
+def test_substitute_cuts_cached_powers_to_its_cap():
+    """Powers cached at a larger cap (change_t1 shares one power dict and
+    one set of iterates over shrinking caps) are cut back: the result is
+    the fresh one, to grade 3."""
     rule = heis()
     a = S({1: 1, 2: 1, 3: -1})
     P = rule.element({0: S({1: 1}), 1: S({0: 1})})
+    images = _iterates(rule, P, 5)
     cache = {}
-    _subst_element(rule, a, P, 5, cache)
-    got = _subst_element(rule, a, P, 3, cache)
+    _substitute(rule, a, images, cache, 5)
+    got = _substitute(rule, a, images, cache, 3)
     assert got.gprec == 3
-    assert got == _subst_element(rule, a, P, 3, {})
+    assert got == _substitute(rule, a, _iterates(rule, P, 3), {}, 3)
 
 
 def test_cache_info_counts_entries_hits_and_misses():
@@ -398,10 +412,22 @@ def test_cache_info_counts_entries_hits_and_misses():
     assert rule.cache_info() == {"images": 0, "powers": 0}
     c0 = rule.coeffs[0]
     assert rule.twist(c0, 2, 4) == rule.element({0: S({1: 1}), 1: S({0: 2})}, 4)
-    assert rule.cache_info() == {"images": 2, "powers": 4}
+    assert rule.cache_info() == {"images": 2, "powers": 0}
     assert rule.twist(c0, 2, 3) == rule.element({0: S({1: 1}), 1: S({0: 2})}, 3)
     rule.twist(S({1: 1}), 2, 3)  # an operand: never kept
-    assert rule.cache_info() == {"images": 2, "powers": 4}
+    assert rule.cache_info() == {"images": 2, "powers": 0}
+    # (t1 + 2 t2)^2 stores P^2 in chain 2 and reads Phi(P) = Phi^3(t1)
+    square = rule.element({0: S({2: 1}), 1: S({1: 4}), 2: S({0: 6})}, 4)
+    assert rule.twist(S({2: 1}), 2, 4) == square
+    assert rule.cache_info() == {"images": 3, "powers": 1}
+
+
+def test_power_chain_stores_neither_one_nor_the_image_twice():
+    """Chain m holds Phi^m(t1) at entry 1 and the powers a twist reads
+    above it: no P^0, and no second copy of P^1."""
+    rule = heis()
+    rule.twist(S({3: 1}), 1, 4)
+    assert set(rule._pow_cache[1]) == {1, 2, 3}
 
 
 def test_tail_cap_claims_do_not_depend_on_the_cap():
