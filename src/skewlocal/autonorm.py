@@ -22,6 +22,7 @@ a(f)^(k - 1) (``_conj_step``).  The generic ``compose``, ``comp_invert``,
 from fractions import Fraction
 from math import comb, inf
 
+from .coeff import binary_power
 from .errors import (
     FieldMismatch,
     NotCompInvertible,
@@ -81,17 +82,7 @@ def auto_iterate(a, m):
     """m-fold composite of a with itself, computed by repeated squaring."""
     if m < 0:
         return auto_iterate(auto_inverse(a), -m)
-    if m == 0:
-        return DiskAutomorphism.identity(a.field, a.image.prec)
-    base = a
-    out = None
-    while m:
-        if m & 1:
-            out = base if out is None else auto_compose(out, base)
-        m >>= 1
-        if m:
-            base = auto_compose(base, base)
-    return out
+    return binary_power(a, m, auto_compose, DiskAutomorphism.identity(a.field, a.image.prec))
 
 
 def conjugate(a, f):
@@ -180,16 +171,15 @@ def _elementary_compose(g, k, b, prec):
 
 
 def _conj_step(field, cur, k, b, prec):
-    """Conjugate ``cur`` (at precision ``prec``) by f = t + b t^k.
+    """f^-1 o cur o f for f = t + b t^k, at precision ``prec``.
 
-    Returns (f^-1 o cur o f, f).  g = cur o f is the binomial expansion of
-    ``_elementary_compose``.  f^-1 is t phi(t^(k - 1)), phi the Fuss-Catalan
-    polynomial of ``_elementary_inverse``, so f^-1(g) = g phi(h) with
-    h = g^(k - 1), evaluated by Horner's rule.  The partial sum that h^m
+    g = cur o f is the binomial expansion of ``_elementary_compose``.
+    f^-1 is t phi(t^(k - 1)), phi the Fuss-Catalan polynomial of
+    ``_elementary_inverse``, so f^-1(g) = g phi(h) with h = g^(k - 1),
+    evaluated by Horner's rule.  The partial sum that h^m
     multiplies is needed only below t^(p - 1 - m(k - 1)), p the precision of
     g, so each Horner product is cut there.
     """
-    f = DiskAutomorphism(LaurentSeries(field, {1: field.one(), k: b}, prec))
     g = _elementary_compose(cur.image, k, b, prec)
     p = g.prec
     phi = _elementary_inverse(field, k, b, p).coeffs
@@ -202,7 +192,7 @@ def _conj_step(field, cur, k, b, prec):
         cut = p - 1 - m * (k - 1)
         acc = (h.truncate(cut) * acc).truncate(cut)
         acc = acc + LaurentSeries.const(field, phi.get(1 + m * (k - 1), zero))
-    return DiskAutomorphism(LaurentSeries(field, (g * acc).coeffs, p)), f
+    return DiskAutomorphism(LaurentSeries(field, (g * acc).coeffs, p))
 
 
 def normalize(auto, prec=None):
@@ -240,20 +230,24 @@ def normalize(auto, prec=None):
     # 1 / (zeta - zeta^k), by k mod n: zeta^k depends on nothing else
     slope_inv = {}
 
+    def step(k, b, m):
+        """Conjugate by t + b t^k, extend the conjugator and verify that the
+        step cleared t^m."""
+        nonlocal cur, total
+        cur = _conj_step(field, cur, k, b, prec)
+        total = DiskAutomorphism(_elementary_compose(total.image, k, b, prec))
+        if not field.is_zero(cur.image.coeffs.get(m, zero)):
+            raise NotSolvable("elementary conjugation failed to clear t^%d" % m)
+
     def kill(k):
         """Remove the coefficient at t^k; the slope zeta - zeta^k is nonzero."""
-        nonlocal cur, total
         a_k = cur.image.coeffs.get(k)
         if a_k is None:
             return
         key = k if n is None else k % n
         if key not in slope_inv:
             slope_inv[key] = field.inv(field.sub(zeta, field.pow(zeta, k)))
-        b = field.neg(field.mul(a_k, slope_inv[key]))
-        cur, _ = _conj_step(field, cur, k, b, prec)
-        total = DiskAutomorphism(_elementary_compose(total.image, k, b, prec))
-        if not field.is_zero(cur.image.coeffs.get(k, zero)):
-            raise NotSolvable("elementary conjugation failed to clear t^%d" % k)
+        step(k, field.neg(field.mul(a_k, slope_inv[key])), k)
 
     if n is None:
         # zeta is not a root of unity: every exponent can be cleared
@@ -303,10 +297,7 @@ def normalize(auto, prec=None):
         k = m - i_alpha + 1
         # b = -a_m / ((i_alpha - k) x), with x inverted once per call
         b = field.mul(field.mul(a_m, x_inv), field.from_fraction(Fraction(1, k - i_alpha)))
-        cur, _ = _conj_step(field, cur, k, b, prec)
-        total = DiskAutomorphism(_elementary_compose(total.image, k, b, prec))
-        if not field.is_zero(cur.image.coeffs.get(m, zero)):
-            raise NotSolvable("affine solve failed to clear t^%d" % m)
+        step(k, b, m)
 
     y_num = cur.image.coeffs.get(2 * i_alpha - 1, zero)
     y = field.mul(y_num, field.mul(x_inv, x_inv))

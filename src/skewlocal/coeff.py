@@ -200,6 +200,19 @@ def _cyclotomic_poly(n):
     return poly
 
 
+def binary_power(x, m, mul, one):
+    """x^m for an integer m >= 0 by repeated squaring under the product
+    mul; one is the answer for m = 0 and is never multiplied."""
+    out = None
+    while m:
+        if m & 1:
+            out = x if out is None else mul(out, x)
+        m >>= 1
+        if m:
+            x = mul(x, x)
+    return one if out is None else out
+
+
 def power_text(var, e):
     """``var^e`` as printed in a monomial: ``var`` for e = 1, "" for e = 0."""
     if e == 0:
@@ -673,14 +686,7 @@ class Field:
         if m < 0:
             a = self.inv(a)
             m = -m
-        out = self.one()
-        base = a
-        while m:
-            if m & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            m >>= 1
-        return out
+        return binary_power(a, m, self.mul, self.one())
 
     # -- structure queries ------------------------------------------------
 

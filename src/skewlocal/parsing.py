@@ -7,7 +7,7 @@ of that precision, so `t + O(t^5)` comes out right through ordinary
 addition.
 """
 
-from .coeff import Field
+from .coeff import Field, binary_power
 from .dubrovin import Descriptor, HeisenbergElement
 from .errors import ParseError
 from .psido import PsiDO, psido_compose, psido_invert
@@ -203,7 +203,7 @@ def _o_shape(ast):
 class _Domain:
     """What the evaluation domains share: values lifted from the field
     (``lift``), the ring operators, division by an inverse, integer powers
-    by repeated products, the name `zeta` of a cyclotomic field's root of
+    by repeated squaring, the name `zeta` of a cyclotomic field's root of
     unity and no precision markers.  A domain overrides what differs."""
 
     def __init__(self, field):
@@ -236,10 +236,7 @@ class _Domain:
         if k < 0:
             v = self.invert(v, pos)
             k = -k
-        out = self.one()
-        for _ in range(k):
-            out = self.mul(out, v)
-        return out
+        return binary_power(v, k, self.mul, self.one())
 
     def o_marker(self, ast, pos):
         raise ParseError("precision markers make no sense here (position %d)" % pos)
@@ -262,9 +259,6 @@ class ScalarDomain(_Domain):
 
     def invert(self, a, pos):
         return self.field.inv(a)
-
-    def power(self, v, k, pos):
-        return self.field.pow(v, k)
 
 
 class SeriesDomain(_Domain):

@@ -153,25 +153,27 @@ class SkewSeries:
 
 
 class CommutationRule:
-    """The conjugation data C of a split two-dimensional local skew field."""
+    """The conjugation data C of a split two-dimensional local skew field.
+
+    C = t2 t1 t2^-1 is the image Phi(t1), and the rule keeps it as the
+    SkewSeries ``_image``: its filter decides which grades the rule has
+    (``coeffs`` is its terms), its ``agrees`` how two rules compare, and
+    phi_image(1, cap) is it cut to cap.
+    """
 
     def __init__(self, field, coeffs, t2_prec=None):
         self.field = field
         self.t2_prec = t2_prec
-        clean = {}
         for j, s in coeffs.items():
             if not isinstance(j, int) or j < 0:
                 raise ValueError("rule grades must be integers >= 0, got %r" % (j,))
             if s.field != field:
                 raise FieldMismatch("rule coefficient over the wrong field")
-            if t2_prec is not None and j >= t2_prec:
-                continue
-            if not s.is_zero():
-                clean[j] = s
-        if 0 not in clean:
+        self._image = SkewSeries(self, coeffs, t2_prec)
+        self.coeffs = self._image.terms
+        if 0 not in self.coeffs:
             raise ValueError("rule needs a grade-zero coefficient c_0")
-        self.coeffs = clean
-        self._alpha = autonorm.DiskAutomorphism(clean[0])  # validates c_0
+        self._alpha = autonorm.DiskAutomorphism(self.coeffs[0])  # validates c_0
         self._pow_cache = {}
         self._inverse = None
 
@@ -258,7 +260,7 @@ class CommutationRule:
         if img is not None:
             return img
         if m == 1:
-            img = SkewSeries(self, self.coeffs, self.t2_prec).truncate(cap)
+            img = self._image.truncate(cap)
         else:
             # Phi^-1 is applied in this ring: the inverse rule's own products
             # would move t2 past coefficients by Phi^-1 instead of Phi
@@ -323,7 +325,7 @@ class CommutationRule:
         return out
 
     def format(self):
-        return SkewSeries(self, self.coeffs, self.t2_prec).format()
+        return self._image.format()
 
     def __repr__(self):
         return "<rule C = %s>" % self.format()
@@ -331,16 +333,12 @@ class CommutationRule:
 
 def _memo_get(cache, key, cap):
     """The entry for key, cut to grade cap, if it was computed to at least
-    that grade (or is exact); else None."""
+    that grade; else None.  An exact entry was computed to grade inf and is
+    cut like any other, so a hit claims what a cold call at cap claims."""
     entry = cache.get(key)
-    if entry is None:
+    if entry is None or entry[0] < _p(cap):
         return None
-    stored, value = entry
-    if value.gprec is None:
-        return value
-    if stored >= _p(cap):
-        return value.truncate(cap)
-    return None
+    return entry[1].truncate(cap)
 
 
 def _memo_put(cache, key, cap, value):
@@ -396,8 +394,6 @@ def _mul_by_images(u, images, cap):
     v = images(0, cap)
     vfv = v.val_floor()
     bound = min(_p(u.gprec) + vfv, _p(v.gprec) + u.val_floor(), _p(cap))
-    if bound == inf and not (u.gprec is None and v.gprec is None):
-        bound = DEFAULT_PRECISION
     pieces = {}
     eff = bound
     for g, ug in u.terms.items():
@@ -501,8 +497,6 @@ def skew_mul(u, v, cap=None):
     vfu = u.val_floor()
     vfv = v.val_floor()
     bound = min(_p(u.gprec) + vfv, _p(v.gprec) + vfu, _p(cap))
-    if bound == inf and not (u.gprec is None and v.gprec is None):
-        bound = DEFAULT_PRECISION
     pieces = {}
     eff = bound
     for m, cu in u.terms.items():
@@ -834,19 +828,18 @@ def _diagonal_solve(field, junk, xi, n):
     return LaurentSeries(field, out, junk.prec)
 
 
+def _agree_below(rule, other, j):
+    """Whether two rules agree at every grade below j: their images Phi(t1),
+    read in the ring of the first, agree below j."""
+    return rule._image.agrees(SkewSeries(rule, other.coeffs, other.t2_prec), j)
+
+
 def _check_kill(old, new, j, allow_nonzero=False):
     """The move at grade j must not disturb grades below j."""
-    for q in range(0, j):
-        a = old.coeffs.get(q, LaurentSeries.zero(old.field))
-        b = new.coeffs.get(q, LaurentSeries.zero(old.field))
-        if not a.agrees(b):
-            raise NotSolvable(
-                "parameter change aimed at grade %d disturbed grade %d" % (j, q)
-            )
-    if not allow_nonzero:
-        left = new.coeffs.get(j)
-        if left is not None and not left.is_zero():
-            raise NotSolvable("parameter change failed to clear grade %d" % j)
+    if not _agree_below(old, new, j):
+        raise NotSolvable("parameter change aimed at grade %d disturbed a lower grade" % j)
+    if not allow_nonzero and j in new.coeffs:
+        raise NotSolvable("parameter change failed to clear grade %d" % j)
 
 
 class SkewInvariantSet:
@@ -1075,14 +1068,8 @@ def canonicalize(rule, cap=None):
             cur = _clear_grade(cur, j, i, n, cap, records)
 
     # final verification against the built representative
-    tgt = target.truncate(cap)
-    for j in range(0, cap):
-        a_s = cur.coeffs.get(j, LaurentSeries.zero(field))
-        b_s = tgt.coeffs.get(j, LaurentSeries.zero(field))
-        if not a_s.agrees(b_s):
-            raise NotSolvable(
-                "canonical form disagrees with its invariants at grade %d" % j
-            )
+    if not _agree_below(cur, target, cap):
+        raise NotSolvable("canonical form disagrees with its invariants below grade %d" % cap)
     return invset, cur, records
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -268,3 +269,20 @@ def test_heis_laurent_round_trip():
     u = LaurentSeries.variable(Q)
     e = HeisenbergElement(d, {0: {(1, 0): u}, 1: {(0, 0): u * u - u}})
     assert parse_heis(e.format(), d) == e, e.format()
+
+
+def test_powers_take_logarithmically_many_products(monkeypatch):
+    """(1 + t)^1000 is built by repeated squaring: at most two series
+    products per bit of the exponent, where a product per unit of the
+    exponent made 1,000."""
+    mul = LaurentSeries.__mul__
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+    got = parse_series("(1+t)^1000", Q, prec=10)
+    assert len(calls) <= 2 * (1000).bit_length()
+    assert got == S(Q, {k: comb(1000, k) for k in range(10)}, 10)

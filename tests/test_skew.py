@@ -162,6 +162,36 @@ def test_mul_by_images_stops_at_the_images_precision():
     assert got.gprec == 4
 
 
+def test_exact_zero_times_a_truncated_element_is_exact():
+    """An exact zero times anything is an exact 0, in both orders and in
+    both products, as a LaurentSeries or PsiDO product with an exact zero
+    is; a truncated factor is no reason to claim only a finite grade."""
+    r = heis()
+    u = r.element({0: S({0: 1}), 1: S({1: 2})}, gprec=4)
+    zero = r.zero()
+    assert skew_mul(zero, u) == zero
+    assert skew_mul(u, zero) == zero
+    assert _mul_by_images(zero, _iterates(r, u, 4), None) == zero
+    assert _mul_by_images(u, _iterates(r, zero, 4), None) == zero
+
+
+def test_cache_hits_claim_what_a_cold_rule_claims():
+    """Over Q with C = t1 + t2, an exact entry stored by a cap-None call
+    is cut to the cap of a later call, so the warm rule answers as a cold
+    one does, though the images themselves are exact."""
+    t1_cubed = S({3: 1})
+    warm = heis()
+    warm.twist(t1_cubed, 1, None)
+    cold = heis().twist(t1_cubed, 1, 3)
+    assert cold.format() == "t1^3 + 3*t1^2*t2 + 6*t1*t2^2 + O(t2^3)"
+    assert warm.twist(t1_cubed, 1, 3) == cold
+    warm = heis()
+    assert warm.phi_image(2, None).gprec is None
+    cold = heis().phi_image(2, 3)
+    assert cold.format() == "t1 + 2*t2 + O(t2^3)"
+    assert warm.phi_image(2, 3) == cold
+
+
 def test_change_t2_needs_a_unit_of_grade_zero():
     """t2' = W t2 is a parameter only for W of t2-valuation 0; a term below
     grade 0 would send change_t2 to an image Phi^g with g < 0."""
