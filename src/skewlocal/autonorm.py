@@ -30,7 +30,7 @@ from .errors import (
     PrecisionExhausted,
     UnsupportedField,
 )
-from .series import DEFAULT_PRECISION, LaurentSeries, _p, _unp
+from .series import DEFAULT_PRECISION, LaurentSeries, _p, _series, _unp
 
 
 class DiskAutomorphism:
@@ -148,25 +148,28 @@ def _elementary_compose(g, k, b, prec):
 
     By the binomial theorem (t + b t^k)^e = sum_j C(e, j) b^j t^(e + j(k - 1)),
     so g(t + b t^k) = sum_j b^j t^(j(k - 1)) sum_(e >= j) C(e, j) g_e t^e:
-    integer-weighted, shifted copies of g, summed by one ``Field.dot`` and
-    no series product (Brent and Kung, J. ACM 25, 1978).  This is the series
+    integer-weighted, shifted copies of g's integer form, summed by one
+    ``Field.dot_forms`` and no series product (Brent and Kung, J. ACM 25,
+    1978).  This is the series
     ``g.compose(LaurentSeries(field, {1: 1, k: b}, prec))`` returns,
     coefficients and precision.
     """
     field = g.field
     top = min(_p(g.prec), _p(prec))
-    terms = [(e, c) for e, c in sorted(g.coeffs.items()) if e < top]
+    terms = [(e, x) for e, x in sorted(g.num.items()) if e < top]
     bj = field.one()
-    levels = [(1, {0: bj}, dict(terms))]
+    levels = [(1, 1, {0: field.one_num}, g.den, dict(terms))]
     j = 1
     while True:
         # e >= j and e + j(k - 1) < top: both tighten as j grows
         shift = j * (k - 1)
-        terms = [(e, c) for e, c in terms if e >= j and e + shift < top]
+        terms = [(e, x) for e, x in terms if e >= j and e + shift < top]
         if not terms:
-            return LaurentSeries(field, field.dot(levels, _unp(top)), _unp(top))
+            top = _unp(top)
+            return _series(field, *field.dot_forms(levels, top), top)
         bj = field.mul(bj, b)
-        levels.append((1, {0: bj}, {e + shift: field.mul_int(c, comb(e, j)) for e, c in terms}))
+        levels.append((1, *field.to_form({0: bj}), g.den,
+                       {e + shift: field.mul_int(x, comb(e, j)) for e, x in terms}))
         j += 1
 
 
@@ -182,17 +185,16 @@ def _conj_step(field, cur, k, b, prec):
     """
     g = _elementary_compose(cur.image, k, b, prec)
     p = g.prec
-    phi = _elementary_inverse(field, k, b, p).coeffs
+    phi = _elementary_inverse(field, k, b, p)
     h = g.truncate(p - 1)
     for _ in range(k - 2):
         h = (h * g).truncate(p - 1)
-    zero = field.zero()
     acc = LaurentSeries.zero(field)
     for m in range((p - 2) // (k - 1), -1, -1):
         cut = p - 1 - m * (k - 1)
         acc = (h.truncate(cut) * acc).truncate(cut)
-        acc = acc + LaurentSeries.const(field, phi.get(1 + m * (k - 1), zero))
-    return DiskAutomorphism(LaurentSeries(field, (g * acc).coeffs, p))
+        acc = acc + phi.coeff_series(1 + m * (k - 1))
+    return DiskAutomorphism((g * acc).with_prec(p))
 
 
 def normalize(auto, prec=None):
@@ -236,14 +238,14 @@ def normalize(auto, prec=None):
         nonlocal cur, total
         cur = _conj_step(field, cur, k, b, prec)
         total = DiskAutomorphism(_elementary_compose(total.image, k, b, prec))
-        if not field.is_zero(cur.image.coeffs.get(m, zero)):
+        if m in cur.image.num:
             raise NotSolvable("elementary conjugation failed to clear t^%d" % m)
 
     def kill(k):
         """Remove the coefficient at t^k; the slope zeta - zeta^k is nonzero."""
-        a_k = cur.image.coeffs.get(k)
-        if a_k is None:
+        if k not in cur.image.num:
             return
+        a_k = cur.image.coeff(k)
         key = k if n is None else k % n
         if key not in slope_inv:
             slope_inv[key] = field.inv(field.sub(zeta, field.pow(zeta, k)))
@@ -263,7 +265,7 @@ def normalize(auto, prec=None):
         if (k - 1) % n != 0:
             kill(k)
 
-    support = [k for k in sorted(cur.image.coeffs) if k >= 2]
+    support = [k for k in cur.image.support() if k >= 2]
     if not support:
         # identity to working precision (after removing the linear part)
         nf = DiskAutomorphism(LaurentSeries(field, {1: zeta}, prec))
@@ -291,9 +293,9 @@ def normalize(auto, prec=None):
     for m in range(i_alpha + 1, prec):
         if (m - 1) % n != 0 or m == 2 * i_alpha - 1:
             continue
-        a_m = cur.image.coeffs.get(m)
-        if a_m is None:
+        if m not in cur.image.num:
             continue
+        a_m = cur.image.coeff(m)
         k = m - i_alpha + 1
         # b = -a_m / ((i_alpha - k) x), with x inverted once per call
         b = field.mul(field.mul(a_m, x_inv), field.from_fraction(Fraction(1, k - i_alpha)))

@@ -8,10 +8,17 @@ Elements are plain payloads and all arithmetic goes through the owning
   coordinates with respect to ``1, zeta, ..., zeta^(deg-1)``
 * prime field F_p: ``int`` normalized to ``0..p-1``
 
-:meth:`Field.dot` is the one exact sum-of-products kernel: one call per
-output key, on integers, with one division per output exponent.  A product
-of two series (``convolve``, its one-term call) and the binomial levels of
-``autonorm._elementary_compose`` call it directly.  Every other sum of
+A sparse map of elements (a series' coefficients) also has an integer
+form (:meth:`Field.to_form`): one denominator and integer numerators over
+Q, integer coordinate tuples over Q(zeta_n), the map itself over F_p.  It
+is canonical (the denominator shares no factor with every numerator), and
+``series.LaurentSeries`` stores it.
+
+:meth:`Field.dot_forms` is the one exact sum-of-products kernel: it reads
+integer forms and writes one, with no ``Fraction`` in between and one gcd
+over each result.  ``Field.dot`` and ``convolve`` are its element-map
+wrappers.  A product of two series calls it directly, and so do the
+binomial levels of ``autonorm._elementary_compose``.  Every other sum of
 products is filed by ``series.file_product`` and summed by
 ``series.sum_filed`` at the least precision of its products: each grade of
 a skew product, of a twist or substitution a(P) = sum a_e P^e, of the
@@ -250,24 +257,6 @@ def format_sum(terms, tail=None):
     )
 
 
-def _clear(coeffs):
-    """(lcm of the denominators, integer numerators over it) of a map of
-    Fractions."""
-    if len(coeffs) == 1:
-        for e, c in coeffs.items():
-            return c.denominator, {e: c.numerator}
-    den = lcm(*[c.denominator for c in coeffs.values()])
-    return den, {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
-
-
-def _clear_vectors(coeffs):
-    """``_clear`` for a map of coordinate tuples: (common denominator,
-    integer coordinate lists, largest absolute coordinate)."""
-    den = lcm(*[c.denominator for x in coeffs.values() for c in x])
-    ints = {e: [c.numerator * (den // c.denominator) for c in x] for e, x in coeffs.items()}
-    return den, ints, max([abs(v) for x in ints.values() for v in x])
-
-
 def _pack(coords, w):
     """Each integer coordinate vector as one int, slot i at bit w * i."""
     out = {}
@@ -302,19 +291,6 @@ def _accumulate(a, b, bound):
             else:
                 acc[e] = x * y
     return acc
-
-
-def _direct(ca, cb, bound, p):
-    """Pair products one by one (reduced mod p unless p is None), for a
-    factor with one term: no two pairs share an exponent, and a product of
-    nonzero elements is nonzero."""
-    out = {}
-    for e1, x in ca.items():
-        for e2, y in cb.items():
-            e = e1 + e2
-            if bound is None or e < bound:
-                out[e] = x * y if p is None else x * y % p
-    return out
 
 
 def _merge(run, acc, modulus):
@@ -355,6 +331,8 @@ class Field:
     def __init__(self, kind, param=None):
         self.kind = kind
         self.param = param
+        # the numerator of 1 in the integer form, over den 1 (see to_form)
+        self.one_num = 1
         if kind == RATIONAL:
             pass
         elif kind == CYCLOTOMIC:
@@ -385,6 +363,7 @@ class Field:
             # absolute one below the leading 1
             self._phi = [int(c) for c in reversed(self.modulus)]
             self._height = max(abs(c) for c in self._phi[1:])
+            self.one_num = (1,) + (0,) * (self.degree - 1)
         elif kind == PRIME:
             if not _is_prime(param):
                 raise ValueError("%r is not prime" % (param,))
@@ -548,6 +527,58 @@ class Field:
                 out[i] += hk * c
         return tuple(out)
 
+    # -- the integer form of a sparse map -------------------------------------
+
+    def to_form(self, coeffs):
+        """The integer form (den, nums) of a sparse map exponent -> nonzero
+        element: over Q the least common denominator and the integer
+        numerators over it, over Q(zeta_n) the same with integer coordinate
+        tuples, over F_p (1, coeffs).  Over Q and Q(zeta_n) the gcd of den
+        and all the numerators is 1, so equal maps have equal forms."""
+        if self.kind == PRIME:
+            return 1, coeffs
+        if self.kind == RATIONAL:
+            den = lcm(*[c.denominator for c in coeffs.values()])
+            return den, {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+        den = lcm(*[c.denominator for x in coeffs.values() for c in x])
+        return den, {
+            e: tuple([c.numerator * (den // c.denominator) for c in x])
+            for e, x in coeffs.items()
+        }
+
+    def canonical(self, den, nums):
+        """The canonical form of (den, nums): both divided by the greatest
+        common divisor of den and every numerator or coordinate."""
+        if self.kind == PRIME or den == 1:
+            return den, nums
+        if self.kind == RATIONAL:
+            g = gcd(den, *nums.values())
+            if g == 1:
+                return den, nums
+            return den // g, {e: v // g for e, v in nums.items()}
+        g = gcd(den, *[v for x in nums.values() for v in x])
+        if g == 1:
+            return den, nums
+        return den // g, {e: tuple([v // g for v in x]) for e, x in nums.items()}
+
+    def element(self, den, num):
+        """The field element num / den of one entry of an integer form."""
+        if self.kind == RATIONAL:
+            return Fraction(num, den)
+        if self.kind == CYCLOTOMIC:
+            return tuple([Fraction(v, den) if v else _ZERO for v in num])
+        return num
+
+    def from_form(self, den, nums):
+        """The sparse map of field elements of an integer form, in its key
+        order."""
+        if self.kind == PRIME:
+            return nums
+        element = self.element
+        return {e: element(den, v) for e, v in nums.items()}
+
+    # -- sums of products --------------------------------------------------
+
     def convolve(self, ca, cb, bound=None):
         """Nonzero coefficients below ``bound`` (None: all) of the product of
         the sparse maps ``ca``, ``cb`` (exponent -> nonzero element): the
@@ -557,47 +588,48 @@ class Field:
     def dot(self, terms, bound=None):
         """Nonzero coefficients below ``bound`` (None: all) of the sum of
         m a b over ``terms``, a list of (m, a, b) with an integer m and
-        sparse maps a, b (exponent -> nonzero element).
+        sparse maps a, b (exponent -> nonzero element): ``dot_forms`` on
+        their integer forms."""
+        forms = []
+        for m, a, b in terms:
+            da, na = self.to_form(a)
+            db, nb = self.to_form(b)
+            forms.append((m, da, na, db, nb))
+        return self.from_form(*self.dot_forms(forms, bound))
+
+    def dot_forms(self, terms, bound=None):
+        """The integer form of the sum of m a b below ``bound`` (None: all)
+        over ``terms``, a list of (m, da, na, db, nb) with an integer m and
+        the integer forms (da, na), (db, nb) of a and b; a form need not be
+        canonical, the result is.
 
         Exact and equal to summing the products term by term with ``mul``
         and ``add``, in the same key order: each term's pair products are
         summed per exponent and merged into the running sum the way the
         series ``+`` merges, so an exponent whose running sum cancels is
-        deleted and appended again if it comes back.  The work is on
-        integers: over Q every term is brought to one common denominator
-        and each output coefficient is one division; over F_p a sum is
-        reduced before it is tested for zero.
+        deleted and appended again if it comes back.  Every term is brought
+        to the least common multiple of the products da db, and the result
+        is divided once by the greatest common divisor of that denominator
+        and its numerators; over F_p a sum is reduced before it is tested
+        for zero.
         """
+        terms = [t for t in terms if t[2] and t[4]]
+        if not terms:
+            return 1, {}
         if self.kind == CYCLOTOMIC:
             return self._dot_cyclotomic(terms, bound)
-        p = self.param if self.kind == PRIME else None
-        if len(terms) == 1:
-            m, a, b = terms[0]
-            if m == 1 and (len(a) == 1 or len(b) == 1):
-                # monomials and scalars: clearing denominators costs more
-                return _direct(a, b, bound, p)
-        if p is not None:
-            run = {}
-            for m, a, b in terms:
-                if a and b:
-                    _merge(run, _accumulate(*_scaled(a, b, m), bound), p)
-            return run
-        cleared = []
-        for m, a, b in terms:
-            if a and b:
-                da, na = _clear(a)
-                db, nb = _clear(b)
-                cleared.append((m, na, nb, da * db))
-        if not cleared:
-            return {}
-        den = lcm(*[t[3] for t in cleared])
         run = {}
-        for m, na, nb, dk in cleared:
-            _merge(run, _accumulate(*_scaled(na, nb, m * (den // dk)), bound), None)
-        return {e: Fraction(v, den) for e, v in run.items()}
+        if self.kind == PRIME:
+            for m, _, na, _, nb in terms:
+                _merge(run, _accumulate(*_scaled(na, nb, m), bound), self.param)
+            return 1, run
+        den = lcm(*[da * db for _, da, _, db, _ in terms])
+        for m, da, na, db, nb in terms:
+            _merge(run, _accumulate(*_scaled(na, nb, m * (den // (da * db))), bound), None)
+        return self.canonical(den, run)
 
     def _dot_cyclotomic(self, terms, bound):
-        """``dot`` over Q(zeta_n) by Kronecker substitution.
+        """``dot_forms`` over Q(zeta_n) by Kronecker substitution.
 
         A coordinate vector x is packed as the int x(2^w), so a product of
         packed ints is the unreduced product polynomial at 2^w, and sums
@@ -613,23 +645,19 @@ class Field:
         partial sum of the terms.
         """
         d = self.degree
-        cleared = []
-        for m, a, b in terms:
-            if a and b:
-                da, ia, ma = _clear_vectors(a)
-                db, ib, mb = _clear_vectors(b)
-                cleared.append((m, ia, ib, da * db, ma * mb * min(len(a), len(b))))
-        if not cleared:
-            return {}
-        den = lcm(*[t[3] for t in cleared])
-        top = d * self._growth * sum(abs(t[0]) * (den // t[3]) * t[4] for t in cleared)
-        w = (2 * top + self._height).bit_length()
+        den = lcm(*[da * db for _, da, _, db, _ in terms])
+        top = 0
+        for m, da, na, db, nb in terms:
+            ma = max([abs(v) for x in na.values() for v in x])
+            mb = max([abs(v) for x in nb.values() for v in x])
+            top += abs(m) * (den // (da * db)) * ma * mb * min(len(na), len(nb))
+        w = (2 * d * self._growth * top + self._height).bit_length()
         modulus = 0
         for c in self._phi:
             modulus = (modulus << w) + c
         run = {}
-        for m, ia, ib, dk, _ in cleared:
-            pa, pb = _scaled(_pack(ia, w), _pack(ib, w), m * (den // dk))
+        for m, da, na, db, nb in terms:
+            pa, pb = _scaled(_pack(na, w), _pack(nb, w), m * (den // (da * db)))
             _merge(run, _accumulate(pa, pb, bound), modulus)
         mask = (1 << w) - 1
         half = 1 << (w - 1)
@@ -643,10 +671,10 @@ class Field:
                 r = v & mask
                 if r >= half:
                     r -= full
-                coords.append(Fraction(r, den) if r else _ZERO)
+                coords.append(r)
                 v = (v - r) >> w
             out[e] = tuple(coords)
-        return out
+        return self.canonical(den, out)
 
     def inv(self, a):
         if self.is_zero(a):

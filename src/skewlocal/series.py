@@ -3,10 +3,18 @@
 A series carries a precision ``prec``: coefficients of exponents below
 ``prec`` are known, everything from ``prec`` on is unknown (think
 ``+ O(t^prec)``).  ``prec = None`` means the series is exact.
+
+The coefficients are kept in the canonical integer form of
+``Field.to_form``, the form ``Field.dot_forms`` reads and writes: over Q
+one denominator ``den`` and a map ``num`` of integer numerators, over
+Q(zeta_n) the same with integer coordinate tuples, over F_p the map of
+residues with ``den`` = 1.  Products, sums, cuts and comparisons work on
+the form; ``coeffs``, the map of field elements, is built when it is first
+read and then kept.
 """
 
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 
 from .coeff import format_sum, power_text
 from .errors import (
@@ -58,37 +66,50 @@ def _mul_prec(a, b):
     return prec if b.prec is None else min(prec, b.prec + a.val_floor())
 
 
-def _series(field, coeffs, prec):
-    """A series from coefficients that are already nonzero and below prec."""
+def _rescaled(field, num, k):
+    """A new map of the numerators num, each times the integer k."""
+    if k == 1:
+        return dict(num)
+    mul_int = field.mul_int
+    return {e: mul_int(x, k) for e, x in num.items()}
+
+
+def _series(field, den, num, prec):
+    """A series from a canonical integer form whose entries are nonzero and
+    below prec."""
     out = LaurentSeries.__new__(LaurentSeries)
     out.field = field
-    out.coeffs = coeffs
     out.prec = prec
+    out.den = den
+    out.num = num
+    out._coeffs = None
     return out
 
 
 def file_product(sums, key, a, b, m=1):
     """File the product m a b of two series under key in sums, which maps a
-    key to [the terms of one ``Field.dot``, the least precision filed]: a
-    sum is known to the least precision of its products, and below cap at
-    most when its entry starts as [[], cap]."""
+    key to [the terms of one ``Field.dot_forms``, the least precision
+    filed]: a sum is known to the least precision of its products, and
+    below cap at most when its entry starts as [[], cap]."""
     prec = _mul_prec(a, b)
+    term = (m, a.den, a.num, b.den, b.num)
     entry = sums.get(key)
     if entry is None:
-        sums[key] = [[(m, a.coeffs, b.coeffs)], prec]
+        sums[key] = [[term], prec]
     else:
-        entry[0].append((m, a.coeffs, b.coeffs))
+        entry[0].append(term)
         entry[1] = min(entry[1], prec)
 
 
 def sum_filed(field, entry):
     """The series a ``file_product`` entry sums to, at its precision."""
     terms, prec = entry
-    return _series(field, field.dot(terms, _unp(prec)), _unp(prec))
+    prec = _unp(prec)
+    return _series(field, *field.dot_forms(terms, prec), prec)
 
 
 class LaurentSeries:
-    __slots__ = ("field", "coeffs", "prec")
+    __slots__ = ("field", "prec", "den", "num", "_coeffs")
 
     def __init__(self, field, coeffs=None, prec=None):
         self.field = field
@@ -100,13 +121,22 @@ class LaurentSeries:
                     continue
                 if not field.is_zero(c):
                     out[e] = c
-        self.coeffs = out
+        self._coeffs = out
+        self.den, self.num = field.to_form(out)
+
+    @property
+    def coeffs(self):
+        """The nonzero coefficients, exponent -> field element, in the key
+        order of the form; read-only."""
+        if self._coeffs is None:
+            self._coeffs = self.field.from_form(self.den, self.num)
+        return self._coeffs
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def zero(field, prec=None):
-        return LaurentSeries(field, None, prec)
+        return _series(field, 1, {}, prec)
 
     @staticmethod
     def const(field, value, prec=None):
@@ -114,9 +144,11 @@ class LaurentSeries:
 
     @staticmethod
     def monomial(field, exp, coeff=None, prec=None):
-        if coeff is None:
-            coeff = field.one()
-        return LaurentSeries(field, {exp: coeff}, prec)
+        if coeff is not None:
+            return LaurentSeries(field, {exp: coeff}, prec)
+        if prec is not None and exp >= prec:
+            return LaurentSeries.zero(field, prec)
+        return _series(field, 1, {exp: field.one_num}, prec)
 
     @staticmethod
     def variable(field, prec=None):
@@ -132,19 +164,19 @@ class LaurentSeries:
 
     def is_zero(self):
         """Zero up to the known precision."""
-        return not self.coeffs
+        return not self.num
 
     def is_exact_zero(self):
-        return not self.coeffs and self.prec is None
+        return not self.num and self.prec is None
 
     def valuation(self):
         """Least exponent with a nonzero coefficient; +inf when none visible."""
-        return min(self.coeffs) if self.coeffs else inf
+        return min(self.num) if self.num else inf
 
     def val_floor(self):
         """A lower bound for the valuation that accounts for truncation."""
-        if self.coeffs:
-            return min(self.coeffs)
+        if self.num:
+            return min(self.num)
         return inf if self.prec is None else self.prec
 
     def coeff(self, e):
@@ -153,16 +185,24 @@ class LaurentSeries:
                 "coefficient of t^%d is beyond the known precision" % e,
                 required=e + 1,
             )
-        return self.coeffs.get(e, self.field.zero())
+        n = self.num.get(e)
+        return self.field.zero() if n is None else self.field.element(self.den, n)
+
+    def coeff_series(self, e):
+        """The coefficient of t^e as an exact constant series."""
+        n = self.num.get(e)
+        if n is None:
+            return LaurentSeries.zero(self.field)
+        return _series(self.field, *self.field.canonical(self.den, {0: n}), None)
 
     def leading(self):
         v = self.valuation()
         if v == inf:
             raise ZeroSeries("series has no visible leading term")
-        return v, self.coeffs[v]
+        return v, self.coeff(v)
 
     def support(self):
-        return sorted(self.coeffs)
+        return sorted(self.num)
 
     # -- ring operations ---------------------------------------------------
 
@@ -175,16 +215,23 @@ class LaurentSeries:
     def __add__(self, other):
         self._check(other)
         prec = _unp(min(_p(self.prec), _p(other.prec)))
-        out = dict(self.coeffs)
-        add = self.field.add
-        for e, c in other.coeffs.items():
-            out[e] = add(out[e], c) if e in out else c
-        return LaurentSeries(self.field, out, prec)
+        f = self.field
+        den = lcm(self.den, other.den)
+        out = _rescaled(f, self.num, den // self.den)
+        add = f.add
+        for e, y in _rescaled(f, other.num, den // other.den).items():
+            out[e] = add(out[e], y) if e in out else y
+        is_zero = f.is_zero
+        kept = {
+            e: x for e, x in out.items()
+            if not is_zero(x) and (prec is None or e < prec)
+        }
+        return _series(f, *f.canonical(den, kept), prec)
 
     def __neg__(self):
         neg = self.field.neg
-        return LaurentSeries(
-            self.field, {e: neg(c) for e, c in self.coeffs.items()}, self.prec
+        return _series(
+            self.field, self.den, {e: neg(x) for e, x in self.num.items()}, self.prec
         )
 
     def __sub__(self, other):
@@ -194,42 +241,69 @@ class LaurentSeries:
         self._check(other)
         prec = _unp(_mul_prec(self, other))
         f = self.field
-        return _series(f, f.convolve(self.coeffs, other.coeffs, prec), prec)
+        term = (1, self.den, self.num, other.den, other.num)
+        return _series(f, *f.dot_forms([term], prec), prec)
 
     def scale(self, c):
         f = self.field
         if f.is_zero(c):
-            return LaurentSeries(f, None, self.prec)
-        return _series(f, f.convolve({0: c}, self.coeffs), self.prec)
+            return LaurentSeries.zero(f, self.prec)
+        return self._times(LaurentSeries.const(f, c))
+
+    def _times(self, c):
+        """self times the exact constant series c, at self's precision."""
+        f = self.field
+        term = (1, c.den, c.num, self.den, self.num)
+        return _series(f, *f.dot_forms([term]), self.prec)
 
     def shift(self, m):
         prec = None if self.prec is None else self.prec + m
-        return LaurentSeries(
-            self.field, {e + m: c for e, c in self.coeffs.items()}, prec
+        return _series(
+            self.field, self.den, {e + m: x for e, x in self.num.items()}, prec
         )
 
     def truncate(self, prec):
         new = _unp(min(_p(self.prec), _p(prec)))
         if new == self.prec:
             return self
-        return LaurentSeries(self.field, self.coeffs, new)
+        return self.with_prec(new)
+
+    def with_prec(self, prec):
+        """The known coefficients below prec, claimed to precision prec."""
+        num = self.num
+        if prec is None or all(e < prec for e in num):
+            out = _series(self.field, self.den, num, prec)
+            out._coeffs = self._coeffs
+            return out
+        kept = {e: x for e, x in num.items() if e < prec}
+        return _series(self.field, *self.field.canonical(self.den, kept), prec)
 
     def __eq__(self, other):
         return (
             isinstance(other, LaurentSeries)
             and self.field == other.field
             and self.prec == other.prec
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def agrees(self, other, upto=None):
         """Coefficientwise equality below min(precisions, upto)."""
         self._check(other)
         bound = min(_p(self.prec), _p(other.prec), _p(upto))
-        for e in set(self.coeffs) | set(other.coeffs):
+        da, db = self.den, other.den
+        na, nb = self.num, other.num
+        mul_int = self.field.mul_int
+        for e in set(na) | set(nb):
             if e >= bound:
                 continue
-            if self.coeffs.get(e) != other.coeffs.get(e):
+            x = na.get(e)
+            y = nb.get(e)
+            if x is None or y is None:
+                return False
+            if da != db:
+                x, y = mul_int(x, db), mul_int(y, da)
+            if x != y:
                 return False
         return True
 
@@ -237,13 +311,13 @@ class LaurentSeries:
 
     def mul_invert(self, target_prec=None):
         """Multiplicative inverse; truncated unless a single exact term."""
-        if not self.coeffs:
+        if not self.num:
             raise ZeroSeries("cannot invert a series that is zero to precision")
         f = self.field
         v, lead = self.leading()
-        linv = f.inv(lead)
-        if len(self.coeffs) == 1 and self.prec is None:
-            out = LaurentSeries.monomial(f, -v, linv)
+        linv = LaurentSeries.const(f, f.inv(lead))
+        if len(self.num) == 1 and self.prec is None:
+            out = linv.shift(-v)
             return out.truncate(target_prec) if target_prec is not None else out
         if self.prec is not None:
             out_prec = self.prec - 2 * v
@@ -252,14 +326,14 @@ class LaurentSeries:
         else:
             out_prec = target_prec if target_prec is not None else DEFAULT_PRECISION - v
         depth = out_prec + v
-        q = self.shift(-v).scale(linv).truncate(depth)
+        q = self.shift(-v)._times(linv).truncate(depth)
 
         def cut(a, b, k):
-            return _series(f, f.convolve(a.coeffs, b.coeffs, k), None)
+            return _series(f, *f.dot_forms([(1, a.den, a.num, b.den, b.num)], k), None)
 
-        one = LaurentSeries.const(f, f.one())
+        one = LaurentSeries.monomial(f, 0)
         x = unit_inverse(q, one, depth, cut, LaurentSeries.valuation)
-        return x.truncate(depth).scale(linv).shift(-v)
+        return x.truncate(depth)._times(linv).shift(-v)
 
     def __truediv__(self, other):
         self._check(other)
@@ -275,7 +349,7 @@ class LaurentSeries:
         if e in cache:
             return cache[e]
         if e == 0:
-            out = LaurentSeries.const(self.field, self.field.one())
+            out = LaurentSeries.monomial(self.field, 0)
         elif e % 2 == 0:
             h = self._int_power(e // 2, cache, bound)
             out = h * h
@@ -294,7 +368,7 @@ class LaurentSeries:
                 % s.val_floor()
             )
         f = self.field
-        if not s.coeffs:
+        if not s.num:
             # substituting a series that is zero to precision
             if self.valuation() < 0:
                 raise NonConvergent("negative exponents evaluated at a zero series")
@@ -302,20 +376,19 @@ class LaurentSeries:
                 raise PrecisionExhausted(
                     "constant term unknown at this precision", required=1
                 )
-            const = self.coeffs.get(0)
-            out = {} if const is None else {0: const}
+            const = self.coeff_series(0)
             if s.prec is None:
-                return LaurentSeries(f, out, None)
-            bounds = [e * s.prec for e in self.coeffs if e >= 1]
+                return const
+            bounds = [e * s.prec for e in self.num if e >= 1]
             if self.prec is not None:
                 bounds.append(max(self.prec, 1) * s.prec)
-            return LaurentSeries(f, out, min(bounds) if bounds else None)
+            return const.with_prec(min(bounds) if bounds else None)
         vs = s.val_floor()
         cap = _p(self.prec) * vs
         # s^e carries precision s.prec + (e - 1) vs, so the least positive
         # exponent bounds what the final truncation keeps; no power needs
         # coefficients beyond that
-        e_min = min((e for e in self.coeffs if e > 0), default=None)
+        e_min = min((e for e in self.num if e > 0), default=None)
         bound = cap if e_min is None else min(cap, _p(s.prec) + (e_min - 1) * vs)
         bound = _unp(bound)
         pos_cache = {}
@@ -323,14 +396,14 @@ class LaurentSeries:
         sinv = None
         # one sum of products a_e s^e, known below cap at most
         sums = {0: [[], cap]}
-        for e, c in sorted(self.coeffs.items()):
+        for e in sorted(self.num):
             if e >= 0:
                 pw = s._int_power(e, pos_cache, bound)
             else:
                 if sinv is None:
                     sinv = s.mul_invert()
                 pw = sinv._int_power(-e, neg_cache)
-            file_product(sums, 0, _series(f, {0: c}, None), pw)
+            file_product(sums, 0, self.coeff_series(e), pw)
         return sum_filed(f, sums[0])
 
     def comp_invert(self, target_prec=None):
@@ -339,7 +412,7 @@ class LaurentSeries:
             raise PrecisionExhausted(
                 "linear coefficient is not visible", required=2
             )
-        if not self.coeffs:
+        if not self.num:
             raise NotCompInvertible("zero series has no compositional inverse")
         v = self.valuation()
         if v != 1:
@@ -347,37 +420,35 @@ class LaurentSeries:
                 "compositional inverse needs valuation 1, got %s" % v
             )
         f = self.field
-        s1 = self.coeffs[1]
-        s1inv = f.inv(s1)
-        if len(self.coeffs) == 1 and self.prec is None:
-            out = LaurentSeries.monomial(f, 1, s1inv)
-            return out.truncate(target_prec) if target_prec is not None else out
+        s1inv = f.inv(self.coeff(1))
+        u = LaurentSeries.monomial(f, 1, s1inv)
+        if len(self.num) == 1 and self.prec is None:
+            return u.truncate(target_prec) if target_prec is not None else u
         if target_prec is not None:
             n_out = target_prec
         elif self.prec is not None:
             n_out = self.prec
         else:
             n_out = DEFAULT_PRECISION
-        ucoeffs = {1: s1inv}
         for m in range(2, n_out):
             # ansatz: coefficients above m - 1 are zero; the error coefficient
             # at t^m is affine in the missing u_m with slope s1
-            u = LaurentSeries(f, ucoeffs, m + 1)
-            err = self.compose(u) - LaurentSeries.variable(f)
-            c = err.coeffs.get(m)
-            if c is not None:
-                ucoeffs[m] = f.neg(f.mul(c, s1inv))
-        return LaurentSeries(f, ucoeffs, n_out)
+            err = self.compose(u.with_prec(m + 1)) - LaurentSeries.variable(f)
+            if m in err.num:
+                u = u + LaurentSeries.monomial(f, m, f.neg(f.mul(err.coeff(m), s1inv)))
+        return u.with_prec(n_out)
 
     def derive(self):
         f = self.field
         out = {}
-        for e, c in self.coeffs.items():
+        for e, x in self.num.items():
             if e == 0:
                 continue
-            out[e - 1] = f.mul_int(c, e)
+            x = f.mul_int(x, e)
+            if not f.is_zero(x):
+                out[e - 1] = x
         prec = None if self.prec is None else self.prec - 1
-        return LaurentSeries(f, out, prec)
+        return _series(f, *f.canonical(self.den, out), prec)
 
     def residue(self):
         """Coefficient of t^-1."""
@@ -385,14 +456,14 @@ class LaurentSeries:
             raise PrecisionExhausted(
                 "residue needs the coefficient of t^-1", required=0
             )
-        return self.coeffs.get(-1, self.field.zero())
+        return self.coeff(-1)
 
     # -- formatting -----------------------------------------------------------
 
     def shows_one_term(self):
         """True when ``format`` prints at most one term: one coefficient, or
         the O(t^prec) tail alone."""
-        return len(self.coeffs) + (self.prec is not None) <= 1
+        return len(self.num) + (self.prec is not None) <= 1
 
     def format(self, var="t"):
         f = self.field

@@ -27,7 +27,6 @@ from .series import (
     DEFAULT_PRECISION,
     LaurentSeries,
     _p,
-    _series,
     _unp,
     file_product,
     sum_filed,
@@ -224,7 +223,7 @@ class CommutationRule:
         return SkewSeries(self, None, gprec)
 
     def one(self, gprec=None):
-        return SkewSeries(self, {0: LaurentSeries.const(self.field, self.field.one())}, gprec)
+        return SkewSeries(self, {0: LaurentSeries.monomial(self.field, 0)}, gprec)
 
     def t1_series(self):
         return LaurentSeries.variable(self.field)
@@ -233,9 +232,7 @@ class CommutationRule:
         return SkewSeries(self, {0: self.t1_series()}, gprec)
 
     def t2(self, j=1, gprec=None):
-        return SkewSeries(
-            self, {j: LaurentSeries.const(self.field, self.field.one())}, gprec
-        )
+        return SkewSeries(self, {j: LaurentSeries.monomial(self.field, 0)}, gprec)
 
     def from_series(self, s, gprec=None):
         return SkewSeries(self, {0: s}, gprec)
@@ -436,16 +433,16 @@ def _evaluate(a, power, cap, base):
 
     power(e) is P^e to grade cap; base() is P, read only to cap the
     coefficient precisions when a is truncated.  Each product a_e P^e[g] is
-    filed under its grade g, and each grade is one ``Field.dot`` at the
+    filed under its grade g, and each grade is one ``Field.dot_forms`` at the
     least precision of its products.
     """
     f = a.field
     sums = {}
     gprec = inf
-    for e, c in sorted(a.coeffs.items()):
+    for e in sorted(a.num):
         pw = power(e)
         gprec = min(gprec, _p(pw.gprec))
-        ce = _series(f, {0: c}, None)
+        ce = a.coeff_series(e)
         for g, s in pw.terms.items():
             file_product(sums, g, ce, s)
     acc = SkewSeries(
@@ -487,10 +484,10 @@ def build_from_rule(field, coeffs, t2_prec=None):
 
 def skew_mul(u, v, cap=None):
     """The product u v: every piece c_m Phi^m(c'_l)[g] is filed under its
-    grade m + l + g, and each grade is one ``Field.dot`` over its pieces at
-    the least precision among them.  A product of nonzero series is nonzero
-    to its precision (the lowest terms multiply to a nonzero term), so no
-    piece is zero to its precision and every piece counts."""
+    grade m + l + g, and each grade is one ``Field.dot_forms`` over its
+    pieces at the least precision among them.  A product of nonzero series
+    is nonzero to its precision (the lowest terms multiply to a nonzero
+    term), so no piece is zero to its precision and every piece counts."""
     u._check(v)
     rule = u.rule
     f = rule.field
@@ -682,7 +679,7 @@ def change_t2(rule, w_el, cap=None):
     ns = [w]
     for j in range(1, cap):
         ns.append(_mul_by_images(ns[-1], lambda g, b, j=j: phiw(j + g, b), cap - j))
-    one = LaurentSeries.const(rule.field, rule.field.one())
+    one = LaurentSeries.monomial(rule.field, 0)
     sums = {}
     out = {}
     for g in range(0, cap):

@@ -53,7 +53,7 @@ def test_summary_of_canned_pairs():
             "change": bench_record.parse_result(_stdout(*c, failed=k == 4)),
         })
     better = {"items_per_s": "higher", "item_tail_ms": "lower", "setup_s": "lower"}
-    got = bench_record.summarize(pairs, better)
+    got = bench_record.summarize(pairs, better, {"items_per_s": 0.25, "item_tail_ms": 0.25})
     assert got["seeds"] == [911, 912, 913, 914, 915]
     # setup_s is in no result, so it is not summarized
     assert set(got["wins"]) == {"items_per_s", "item_tail_ms"}
@@ -63,6 +63,8 @@ def test_summary_of_canned_pairs():
     # the third pair ties on both metrics; in the fourth, item_tail_ms rises
     assert got["wins"] == {"items_per_s": 4, "item_tail_ms": 2}
     assert got["failed"] == {"parent": 0, "change": 1}
+    # four wins in five pairs are no gain
+    assert got["verdicts"] == {"items_per_s": "within bound", "item_tail_ms": "within bound"}
 
 
 def test_a_single_pair_has_flat_quartiles():
@@ -72,6 +74,65 @@ def test_a_single_pair_has_flat_quartiles():
         "parent": bench_record.parse_result(_stdout(10.0, 5.0)),
         "change": bench_record.parse_result(_stdout(11.0, 5.0)),
     }
-    got = bench_record.summarize([pair], {"items_per_s": "higher"})
+    got = bench_record.summarize([pair], {"items_per_s": "higher"}, {"items_per_s": 0.25})
     assert got["change"]["items_per_s"] == {"median": 11.0, "q1": 11.0, "q3": 11.0}
     assert got["wins"] == {"items_per_s": 1}
+
+
+def _ten_pairs(parent, change):
+    """Ten canned pairs of items_per_s (higher is better) and item_tail_ms
+    (lower is better): parent and change are lists of (items_per_s,
+    item_tail_ms), one per pair."""
+    return [
+        {
+            "seed": 2001 + k,
+            "first": "parent" if k % 2 == 0 else "change",
+            "parent": bench_record.parse_result(_stdout(*p)),
+            "change": bench_record.parse_result(_stdout(*c)),
+        }
+        for k, (p, c) in enumerate(zip(parent, change))
+    ]
+
+
+BETTER = {"items_per_s": "higher", "item_tail_ms": "lower"}
+BOUNDS = {"items_per_s": 0.25, "item_tail_ms": 0.25}
+
+
+def test_verdict_gain_needs_nine_wins_and_a_gap_beyond_the_spread():
+    parent = [(63.0 + k % 3, 20.0 + k % 2) for k in range(10)]
+    # nine wins by about 25%, one loss: a gain on both metrics
+    change = [(80.0 + k % 3, 15.0 + k % 2) for k in range(9)] + [(60.0, 22.0)]
+    got = bench_record.summarize(_ten_pairs(parent, change), BETTER, BOUNDS)
+    assert got["wins"] == {"items_per_s": 9, "item_tail_ms": 9}
+    assert got["verdicts"] == {"items_per_s": "gain", "item_tail_ms": "gain"}
+    # eight wins are not enough
+    change[8] = (60.0, 22.0)
+    got = bench_record.summarize(_ten_pairs(parent, change), BETTER, BOUNDS)
+    assert got["verdicts"] == {"items_per_s": "within bound", "item_tail_ms": "within bound"}
+    # ten wins by less than the parent's quartile spread (about 2 items/s)
+    change = [(p + 0.5, t - 0.1) for p, t in parent]
+    got = bench_record.summarize(_ten_pairs(parent, change), BETTER, BOUNDS)
+    assert got["wins"] == {"items_per_s": 10, "item_tail_ms": 10}
+    assert got["verdicts"]["items_per_s"] == "within bound"
+
+
+def test_verdict_worse_beyond_the_bound_in_the_metric_direction():
+    parent = [(64.0, 20.0)] * 10
+    # 30% fewer items/s is worse; a 30% lower tail is better, not worse
+    change = [(44.8, 14.0)] * 10
+    got = bench_record.summarize(_ten_pairs(parent, change), BETTER, BOUNDS)
+    assert got["verdicts"] == {"items_per_s": "worse", "item_tail_ms": "gain"}
+    # 20% fewer items/s and a 20% higher tail stay inside the 0.25 bound
+    change = [(51.2, 24.0)] * 10
+    got = bench_record.summarize(_ten_pairs(parent, change), BETTER, BOUNDS)
+    assert got["verdicts"] == {"items_per_s": "within bound", "item_tail_ms": "within bound"}
+
+
+def test_verdict_unresolved_when_the_runs_spread_wider_than_the_bound():
+    parent = [(64.0, 20.0)] * 10
+    change = [(40.0 + 10.0 * (k % 4), 20.0) for k in range(10)]
+    got = bench_record.summarize(_ten_pairs(parent, change), BETTER, BOUNDS)
+    # quartiles 42.5 and 60 around a median of 50: a spread of 0.35
+    assert got["change"]["items_per_s"]["median"] == 50.0
+    assert got["verdicts"]["items_per_s"] == "unresolved"
+    assert got["verdicts"]["item_tail_ms"] == "within bound"

@@ -12,7 +12,7 @@ its factor's tails."""
 
 import random
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 import pytest
 from hypothesis import event, given, settings
@@ -30,7 +30,7 @@ from skewlocal.coeff import Field
 from skewlocal.errors import NotSolvable, SkewFieldError
 from skewlocal.parsing import RuleDomain, _run, parse_rule_text, rule_to_text
 from skewlocal.psido import PsiDO, psido_compose, psido_invert
-from skewlocal.series import DEFAULT_PRECISION, LaurentSeries, _p
+from skewlocal.series import DEFAULT_PRECISION, LaurentSeries, _p, _series
 from skewlocal.skew import (
     CommutationRule,
     ParameterChange,
@@ -670,6 +670,95 @@ def test_series_product_at_the_slot_bound(field, m, bits, negate):
     sign = -top if negate else top
     b = LaurentSeries(field, {e: (sign,) * field.degree for e in range(m)})
     assert a * b == _reference_mul(a, b)
+
+
+# -- the integer form of a series ----------------------------------------------
+
+FORM_FIELDS = (Q, C3, C5, F7)
+
+
+@st.composite
+def element_maps(draw, field):
+    """Sparse maps of nonzero tall elements, keys in the order drawn."""
+    size = draw(st.sampled_from([0, 1, 3, 8]))
+    coeffs = draw(st.dictionaries(st.integers(-6, 10), tall_elements(field), max_size=size))
+    return {e: c for e, c in coeffs.items() if not field.is_zero(c)}
+
+
+def _assert_canonical(s):
+    """den >= 1 shares no factor with every numerator; over F_p it is 1."""
+    f = s.field
+    if f.char():
+        assert s.den == 1
+        return
+    ints = [v for x in s.num.values() for v in (x if f.kind == "cyclotomic" else (x,))]
+    assert s.den >= 1
+    assert gcd(s.den, *ints) == 1
+
+
+@settings(max_examples=200, deadline=3000, database=None)
+@given(st.sampled_from(FORM_FIELDS), st.data())
+def test_integer_form_is_canonical_and_round_trips(field, more):
+    """A map of elements goes to its integer form and back to the same
+    elements in the same key order, and every series operation leaves a
+    canonical form."""
+    coeffs = more.draw(element_maps(field))
+    prec = more.draw(st.one_of(st.none(), st.integers(-6, 12)))
+    s = LaurentSeries(field, coeffs, prec)
+    kept = {e: c for e, c in coeffs.items() if prec is None or e < prec}
+    # a series built from the form alone reads its elements from the form
+    again = _series(field, s.den, s.num, s.prec)
+    assert again.coeffs == kept
+    assert list(again.coeffs) == list(kept)
+    assert field.from_form(*field.to_form(kept)) == kept
+    other = LaurentSeries(field, more.draw(element_maps(field)))
+    cut = more.draw(st.integers(-6, 12))
+    for x in (s, s + other, s - s, s * other, s.truncate(cut), s.derive(), s.shift(3)):
+        _assert_canonical(x)
+        assert list(x.coeffs) == list(x.num)
+
+
+def _reference_eq(a, b):
+    return a.field == b.field and a.prec == b.prec and a.coeffs == b.coeffs
+
+
+def _reference_agrees(a, b, upto):
+    bound = min(_p(a.prec), _p(b.prec), _p(upto))
+    ca, cb = a.coeffs, b.coeffs
+    return all(ca.get(e) == cb.get(e) for e in set(ca) | set(cb) if e < bound)
+
+
+@settings(max_examples=300, deadline=3000, database=None)
+@given(st.sampled_from(FORM_FIELDS), st.data())
+def test_form_comparisons_match_the_element_maps(field, more):
+    """``==`` and ``agrees`` compare integer forms; they give the verdicts
+    of comparing the maps of elements, on truncated series too.  The second
+    series is often the first written another way: built through the
+    kernel, halved, cut, or with one coefficient changed."""
+    precs = st.one_of(st.none(), st.integers(-6, 12))
+    a = LaurentSeries(field, more.draw(element_maps(field)), more.draw(precs))
+    two = field.from_int(2)
+    how = more.draw(st.sampled_from(["kernel", "halved", "cut", "changed", "reordered", "other"]))
+    if how == "kernel":
+        b = (a + a).scale(field.inv(two))
+    elif how == "halved":
+        # odd numerators keep their integers over twice the denominator
+        b = a.scale(field.inv(two))
+    elif how == "cut":
+        b = a.truncate(more.draw(st.integers(-6, 12)))
+    elif how == "changed" and a.coeffs:
+        e = more.draw(st.sampled_from(sorted(a.coeffs)))
+        b = LaurentSeries(field, {**a.coeffs, e: field.add(a.coeffs[e], two)}, a.prec)
+    elif how == "reordered":
+        b = LaurentSeries(field, dict(reversed(list(a.coeffs.items()))), more.draw(precs))
+    else:
+        b = LaurentSeries(field, more.draw(element_maps(field)), more.draw(precs))
+    upto = more.draw(precs)
+    event(how)
+    assert (a == b) == _reference_eq(a, b)
+    assert (b == a) == _reference_eq(b, a)
+    assert a.agrees(b, upto) == _reference_agrees(a, b, upto)
+    assert b.agrees(a, upto) == _reference_agrees(b, a, upto)
 
 
 # -- operator products against the per-pair Leibniz loop ------------------------

@@ -508,3 +508,38 @@ def test_twist_claims_do_not_depend_on_earlier_calls():
     cold = rule().twist(x, 2, 2)
     assert warm.twist(x, 2, 2) == cold
     assert cold.coeff(1) == S({1: 2}, 5, F7)
+
+
+def test_warm_products_convert_no_element_map(monkeypatch):
+    """Series keep the integer form that ``Field.dot_forms`` reads and
+    writes, so on warm caches a skew product turns no map of field elements
+    into that form, and an inverse only the inverted leading coefficient
+    it builds itself.  The rule and operands are those of the ring
+    benchmark over Q(zeta_5) at gprec 5."""
+    from skewlocal.parsing import parse_rule_text, parse_series
+
+    rule = parse_rule_text("field: Q(zeta_5)\nprec: t1=exact t2=exact\nC = zeta*t1 + t1^2*t2\n")
+    f = rule.field
+
+    def element(terms):
+        return rule.element({j: parse_series(t, f, var="t1") for j, t in terms.items()}, 5)
+
+    u = element({
+        0: "1 + (3/2*zeta)*t1 + (-3/2)*t1^2",
+        1: "(-3/2*zeta)*t1^-1 + (3/2)*t1",
+        2: "(3/2*zeta)*t1^2",
+    })
+    v = element({0: "(-3/2*zeta)*t1", 1: "(3/2*zeta) + (-3/2)*t1^3"})
+    calls = [0]
+    to_form = Field.to_form
+
+    def counted(self, coeffs):
+        calls[0] += 1
+        return to_form(self, coeffs)
+
+    monkeypatch.setattr(Field, "to_form", counted)
+    for op, converted in ((lambda: skew_mul(u, v, 5), 0), (lambda: skew_invert(u, 5), 1)):
+        cold = op()
+        calls[0] = 0
+        assert op() == cold
+        assert calls[0] == converted

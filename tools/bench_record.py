@@ -10,7 +10,8 @@ so that it runs from committed files only.  Each seed is one pair: both
 sides run ``perfbench/run.py --trace 0`` once on it, and the side that runs
 first alternates from pair to pair, so slow drift of the machine hits both
 alike.  A metric's wins count the pairs in which the change was better, in
-the direction BENCHMARK.json gives for it.  With ``--trace-seed N`` each
+the direction BENCHMARK.json gives for it, and its verdict (``verdict``)
+reads the pairs against the metric's bound there.  With ``--trace-seed N`` each
 side also makes one ``--trace 1`` run of every workload on seed N, and its
 per-layer counts and times are recorded under ``traced``.
 """
@@ -57,11 +58,44 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(pairs, better):
-    """Per-side median and quartiles of every metric, the change's wins and
-    the failed runs, for a list of pairs {"seed", "first", "parent",
-    "change"} whose sides are parsed results; better maps each metric to
-    "higher" or "lower"."""
+def _spread(stats):
+    """The quartile spread (q3 - q1) relative to the median."""
+    width = stats["q3"] - stats["q1"]
+    if stats["median"] == 0:
+        return 0.0 if width == 0 else float("inf")
+    return width / abs(stats["median"])
+
+
+def verdict(parent, change, wins, n, better, bound):
+    """What the pairs show for one metric, from each side's median and
+    quartiles, the change's wins in n pairs, the better direction and the
+    metric's relative bound:
+
+    * "worse": the change's median is worse than the parent's by more than
+      bound times the parent's median;
+    * "unresolved": either side's quartile spread, relative to its median,
+      is wider than the bound;
+    * "gain": the change wins at least 9 in 10 pairs, and its median is
+      better than the parent's by more than the parent's quartile spread;
+    * "within bound": anything else.
+    """
+    sign = 1 if better == "higher" else -1
+    gap = sign * (change["median"] - parent["median"])
+    if gap < -bound * abs(parent["median"]):
+        return "worse"
+    if max(_spread(parent), _spread(change)) > bound:
+        return "unresolved"
+    if 10 * wins >= 9 * n and gap > parent["q3"] - parent["q1"]:
+        return "gain"
+    return "within bound"
+
+
+def summarize(pairs, better, bounds):
+    """Per-side median and quartiles of every metric, the change's wins, its
+    ``verdict`` and the failed runs, for a list of pairs {"seed", "first",
+    "parent", "change"} whose sides are parsed results; better maps each
+    metric to "higher" or "lower", and bounds maps it to its relative bound,
+    as in BENCHMARK.json."""
     out = {"seeds": [p["seed"] for p in pairs], "pairs": pairs}
     names = [n for n in better if all(n in p[s]["metrics"] for p in pairs for s in SIDES)]
     for side in SIDES:
@@ -78,6 +112,11 @@ def summarize(pairs, better):
             for p in pairs
         )
     out["wins"] = wins
+    out["verdicts"] = {
+        name: verdict(out["parent"][name], out["change"][name], wins[name],
+                      len(pairs), better[name], bounds[name])
+        for name in names
+    }
     out["failed"] = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
     return out
 
@@ -128,6 +167,7 @@ def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     seeds = parse_seeds(args.seeds)
     with tempfile.TemporaryDirectory() as workdir:
         sides = {
@@ -150,7 +190,7 @@ def main(argv=None):
                     print("# %s seed %d %s: %s" % (workload, seed, side, json.dumps(
                         pair[side]["metrics"])), flush=True)
                 pairs.append(pair)
-            record["workloads"][workload] = summarize(pairs, better)
+            record["workloads"][workload] = summarize(pairs, better, bounds)
             if args.trace_seed is not None:
                 traced = {"seed": args.trace_seed}
                 for side in SIDES:
