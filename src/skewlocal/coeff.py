@@ -16,8 +16,7 @@ is canonical (the denominator shares no factor with every numerator), and
 
 :meth:`Field.dot_forms` is the one exact sum-of-products kernel: it reads
 integer forms and writes one, with no ``Fraction`` in between and one gcd
-over each result.  ``Field.dot`` and ``convolve`` are its element-map
-wrappers.  A product of two series calls it directly, and so do the
+over each result.  A product of two series calls it, and so do the
 binomial levels of ``autonorm._elementary_compose``.  Every other sum of
 products is filed by ``series.file_product`` and summed by
 ``series.sum_filed`` at the least precision of its products: each grade of
@@ -578,24 +577,6 @@ class Field:
         return {e: element(den, v) for e, v in nums.items()}
 
     # -- sums of products --------------------------------------------------
-
-    def convolve(self, ca, cb, bound=None):
-        """Nonzero coefficients below ``bound`` (None: all) of the product of
-        the sparse maps ``ca``, ``cb`` (exponent -> nonzero element): the
-        one-term ``dot``."""
-        return self.dot([(1, ca, cb)], bound)
-
-    def dot(self, terms, bound=None):
-        """Nonzero coefficients below ``bound`` (None: all) of the sum of
-        m a b over ``terms``, a list of (m, a, b) with an integer m and
-        sparse maps a, b (exponent -> nonzero element): ``dot_forms`` on
-        their integer forms."""
-        forms = []
-        for m, a, b in terms:
-            da, na = self.to_form(a)
-            db, nb = self.to_form(b)
-            forms.append((m, da, na, db, nb))
-        return self.from_form(*self.dot_forms(forms, bound))
 
     def dot_forms(self, terms, bound=None):
         """The integer form of the sum of m a b below ``bound`` (None: all)

@@ -64,15 +64,6 @@ class Descriptor:
             return a.is_zero()
         return self.field.is_zero(a)
 
-    def is_one(self, a):
-        if self.series:
-            return (
-                a.prec is None
-                and a.support() == [0]
-                and a.coeff(0) == self.field.one()
-            )
-        return a == self.field.one()
-
     def format(self, a):
         if self.series:
             return a.format(var="u")

@@ -898,17 +898,37 @@ class SkewInvariantSet:
 
 def invariants(rule, cap=None):
     """Extract (n, xi, i, r, c, a) from a rule over a characteristic-0 field."""
+    return _classify(rule, cap)[0]
+
+
+def _classify(rule, cap):
+    """(set, rule, records, cap): the invariant set of a rule, the rule it
+    is read from, the changes that led there and the cap used.
+
+    The set is read after reduce_support and the shift t2' = t1^m t2 that
+    puts the leading t1-exponent of grade i into [0, i), the range where
+    _read_invariants holds; t1^m is a unit, so the set does not depend on
+    the t2 the rule was given in.
+    """
     field = rule.field
     if field.char() != 0:
         raise UnsupportedField("invariants are defined in characteristic zero")
-    reduced, _ = reduce_support(rule, cap)
-    n = _detect_order(reduced)
-    xi = reduced.zeta
-    i = _least_grade(reduced)
+    if cap is None:
+        cap = rule.default_cap()
+    cur, records = reduce_support(rule, cap)
+    n = _detect_order(cur)
+    xi = cur.zeta
+    i = _least_grade(cur)
     if i == inf:
-        return SkewInvariantSet(field, n, xi, inf)
-    r, c, a = _read_invariants(reduced, n, i)
-    return SkewInvariantSet(field, n, xi, i, r, c, a)
+        return SkewInvariantSet(field, n, xi, inf), cur, records, cap
+    rho = cur.coeffs[i].valuation()
+    m_sh = (rho - rho % i) // i
+    if m_sh != 0:
+        w = cur.element({0: LaurentSeries.monomial(field, m_sh)})
+        cur = change_t2(cur, w, cap)
+        records.append(ParameterChange("t2_shift", {"power": m_sh}))
+    r, c, a = _read_invariants(cur, n, i)
+    return SkewInvariantSet(field, n, xi, i, r, c, a), cur, records, cap
 
 
 def _least_grade(reduced):
@@ -1007,30 +1027,12 @@ def canonicalize(rule, cap=None):
     verified against build_from_invariants, so a successful return is a
     proof of the classification for this input.
     """
+    invset, cur, records, cap = _classify(rule, cap)
+    if invset.infinite_i:
+        return invset, cur, records
     field = rule.field
-    if field.char() != 0:
-        raise UnsupportedField("canonical forms need characteristic zero")
-    if cap is None:
-        cap = rule.default_cap()
-    cur, records = reduce_support(rule, cap)
-    n = _detect_order(cur)
-    xi = cur.zeta
-    i = _least_grade(cur)
-    if i == inf:
-        return SkewInvariantSet(field, n, xi, inf), cur, records
+    n, xi, i, r, c, a = invset.key()
     one = field.one()
-
-    # shift the leading exponent into [0, i) if an exotic input needs it
-    rho = cur.coeffs[i].valuation()
-    m_sh = (rho - rho % i) // i
-    if m_sh != 0:
-        w = cur.element({0: LaurentSeries.monomial(field, m_sh)})
-        nxt = change_t2(cur, w, cap)
-        records.append(ParameterChange("t2_shift", {"power": m_sh}))
-        cur = nxt
-
-    r, c, a = _read_invariants(cur, n, i)
-    invset = SkewInvariantSet(field, n, xi, i, r, c, a)
 
     # monomialize delta_i = c t1^r q to c t1^r with one unit change
     # t2' = u(t1) t2.  After reduce_support c_0 = xi t1 and no grade lies
@@ -1117,15 +1119,9 @@ def _fix_grade_2i(cur, target, i, n, cap, records):
                 "residual at grade 2i has a component along the residue "
                 "direction; the invariant a was extracted inconsistently"
             )
-        if r >= 2 and mu <= 1:
-            # corrections b = beta * t1^mu act on the t1^e coefficient
-            # through c * t1'^r; the quadratic part of that expansion sits
-            # at t1^(r - 2 + 2 mu), which stays above e only for mu > 1
-            # (for r <= 1 it vanishes and the response is exactly linear)
-            raise NotSolvable(
-                "grade-2i residual reaches t1^%d below the monotone range" % e
-            )
-        # the probe is read only at grade 2i, so it is solved only that far
+        # b = beta t1^mu comes with t2^i, so terms quadratic in b sit at
+        # grade >= 3i and the probe reads the exact linear response at
+        # grade 2i for every mu; it is solved only that far
         probe_b = LaurentSeries.monomial(field, mu)
         y = cur.element({0: cur.t1_series(), i: probe_b})
         probed = change_t1(cur, y, 2 * i + 1)

@@ -269,3 +269,26 @@ def test_negative_env_prec_is_rejected(capsys, monkeypatch):
     monkeypatch.setenv("SKEWLOCAL_PREC", "-1")
     assert_rejected(run(capsys, "psido", "--expr", "X"), "SKEWLOCAL_PREC")
     assert_rejected(run(capsys, "autonorm", "--series", "t + t^2"), "SKEWLOCAL_PREC")
+
+
+def test_isomorphic_after_a_t2_shift(capsys, tmp_path):
+    """t2' = t1 t2 applied to C = -t1 + 3 t1 t2^2 - 81/2 t1 t2^4; the moved
+    rule's grade 2 starts at t1^-1."""
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text("field: Q\nprec: t1=exact t2=exact\nC = -t1 + 3*t1*t2^2 - 81/2*t1*t2^4\n")
+    b.write_text(
+        "field: Q\nprec: t1=exact t2=10\n"
+        "C = -t1 - 3*t1^-1*t2^2 - 27/2*t1^-3*t2^4 + 1809/2*t1^-5*t2^6"
+        " - 77517/2*t1^-7*t2^8 + O(t2^10)\n"
+    )
+    status, out, err = run(capsys, "skew-isomorphic", "--rule", str(a), "--other", str(b))
+    assert (status, out, err) == (0, "verdict = yes\n", "")
+
+
+def test_canonicalize_a_grade_2i_residual_below_r(capsys, tmp_path):
+    rule = tmp_path / "rule.txt"
+    rule.write_text("field: Q\nprec: t1=exact t2=8\nC = t1 - 3*t1^2*t2^3 + (t1 - 3*t1^2)*t2^4\n")
+    status, out, err = run(capsys, "skew-canonicalize", "--rule", str(rule))
+    assert status == 0, err
+    assert "C = t1 - 3*t1^2*t2^3 + O(t2^8)" in out.splitlines()

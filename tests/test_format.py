@@ -112,6 +112,13 @@ def ref_graded(terms, inner, var, tail, order):
 
 def ref_heis(h):
     d = h.descriptor
+    one = d.field.one()
+
+    def is_one(c):
+        if d.series:
+            return c.prec is None and c.support() == [0] and c.coeff(0) == one
+        return c == one
+
     parts = []
     for k in sorted(h.levels):
         for a, b in sorted(h.levels[k]):
@@ -127,7 +134,7 @@ def ref_heis(h):
             cs = ref_series(c, "u") if d.series else ref_element(d.field, c)
             if not body:
                 term = "(%s)" % cs if ("+" in cs[1:] or "-" in cs[1:]) else cs
-            elif d.is_one(c):
+            elif is_one(c):
                 term = body
             elif cs == "-1":
                 term = "-" + body

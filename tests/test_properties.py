@@ -1,14 +1,15 @@
 """Property tests for composition, the closed-form elementary inverse and
 composition, the normal form reduction, the windowed skew solvers, the
 integer series product, the operator product, the shared Newton inverse and
-the sum-of-products kernel ``Field.dot`` with the skew products, twists,
+the sum-of-products kernel ``Field.dot_forms`` with the skew products, twists,
 compositions, parsed rule products and operator products built on it,
 checked against independent references; for operator products and inverses
 against completions of their truncated tails; for negative twists against
 the ring axioms; for twists on warm caches against a cold rule;
-for canonicalize against its old loop of linearized unit changes; and for
-the product from the iterates of Phi against skew_mul and completions of
-its factor's tails."""
+for canonicalize against its old loop of linearized unit changes; for the
+product from the iterates of Phi against skew_mul and completions of its
+factor's tails; and for invariants, isomorphic and canonicalize against
+the set a canonical rule was hidden from."""
 
 import random
 from fractions import Fraction
@@ -34,10 +35,11 @@ from skewlocal.series import DEFAULT_PRECISION, LaurentSeries, _p, _series
 from skewlocal.skew import (
     CommutationRule,
     ParameterChange,
+    SkewInvariantSet,
     SkewSeries,
+    _classify,
     _check_kill,
     _clear_grade,
-    _detect_order,
     _evaluate,
     _fix_grade_2i,
     _mul_by_images,
@@ -48,7 +50,7 @@ from skewlocal.skew import (
     change_t1,
     change_t2,
     invariants,
-    reduce_support,
+    isomorphic,
     skew_invert,
     skew_mul,
 )
@@ -632,7 +634,7 @@ def test_series_product_matches_coefficient_loop(data, more):
     bound = more.draw(st.integers(-16, 16))
     exact = _reference_mul(LaurentSeries(field, a.coeffs), LaurentSeries(field, b.coeffs))
     cut = {e: x for e, x in exact.coeffs.items() if e < bound}
-    assert field.convolve(a.coeffs, b.coeffs, bound) == cut
+    assert _dot(field, [(1, a.coeffs, b.coeffs)], bound) == cut
 
 
 @settings(max_examples=100, deadline=3000, database=None)
@@ -1113,6 +1115,13 @@ def test_negative_twists_keep_the_ring_axioms(data, more):
 # -- the fused sum-of-products kernel against per-term loops ------------------
 
 
+def _dot(field, terms, bound=None):
+    """``Field.dot_forms`` on the element maps of terms (m, a, b): the inputs
+    written with ``Field.to_form``, the result read with ``Field.from_form``."""
+    forms = [(m, *field.to_form(a), *field.to_form(b)) for m, a, b in terms]
+    return field.from_form(*field.dot_forms(forms, bound))
+
+
 def _reference_dot(field, terms, bound):
     """sum m a b over terms (m, a, b): each product by ``Field.mul`` and
     ``Field.add`` per coefficient pair, scaled by ``Field.mul_int`` and added
@@ -1177,7 +1186,7 @@ def dot_terms(draw):
 @given(dot_terms())
 def test_dot_matches_per_term_loop(data):
     field, terms, bound = data
-    got = field.dot(terms, bound)
+    got = _dot(field, terms, bound)
     ref = _reference_dot(field, terms, bound)
     assert got == ref
     assert list(got) == list(ref)
@@ -1208,7 +1217,7 @@ def test_dot_at_the_slot_bound(field, pairs, m, bits, more):
     a = {e: a_el for e in range(m)}
     b = {e: b_el for e in range(m)}
     terms = [(1, a, b)] * pairs
-    assert field.dot(terms) == _reference_dot(field, terms, None)
+    assert _dot(field, terms) == _reference_dot(field, terms, None)
 
 
 def _layout(x):
@@ -1567,18 +1576,9 @@ def _loop_canonicalize(rule, cap):
     """``canonicalize`` as it was when it monomialized delta_i with a loop of
     linearized unit changes t2' = (1 + mu t1^e) t2, one t1-exponent each."""
     field = rule.field
-    cur, records = reduce_support(rule, cap)
-    n = _detect_order(cur)
-    xi = cur.zeta
-    i = min(j for j in cur.coeffs if j >= 1)
+    invset, cur, records, cap = _classify(rule, cap)
+    n, xi, i, r, c, a = invset.key()
     one = field.one()
-    rho = cur.coeffs[i].valuation()
-    m_sh = (rho - rho % i) // i
-    if m_sh != 0:
-        cur = change_t2(cur, cur.element({0: LaurentSeries.monomial(field, m_sh)}), cap)
-        records.append(ParameterChange("t2_shift", {"power": m_sh}))
-    invset = invariants(cur, cap)
-    r, c, a = invset.r, invset.c, invset.a
     guard = 0
     while True:
         q = cur.coeffs[i] / LaurentSeries.monomial(field, r, c)
@@ -1607,10 +1607,12 @@ def _loop_canonicalize(rule, cap):
 
 @st.composite
 def hidden_canonical_rules(draw):
-    """(field, cap, rule): the canonical rule of a random admissible set with
-    n <= 3 and 2i < cap, hidden by a random grade-0 unit t2' = u(t1) t2 with
-    at least one positive t1-exponent, and sometimes by one more change at a
-    positive grade."""
+    """(field, cap, rule, key): the canonical rule of a random admissible set
+    ``key`` with n <= 3 and 2i < cap, hidden by a random grade-0 unit
+    t2' = u(t1) t2 with at least one positive t1-exponent, sometimes by one
+    more change at a positive grade, and last by a shift t2' = t1^m t2 with
+    m in [-2, 2], which moves the leading t1-exponent of grade i out of
+    [0, i) when m != 0."""
     field = draw(st.sampled_from([Q, C3]))
     cap = draw(st.integers(5, 7))
     n = draw(st.sampled_from([1, 2, 3] if field is C3 else [1, 2]).filter(
@@ -1635,7 +1637,10 @@ def hidden_canonical_rules(draw):
         else:
             one = LaurentSeries.const(field, field.one())
             rule = change_t2(rule, rule.element({0: one, s: b}), cap)
-    return field, cap, rule
+    m = draw(st.integers(-2, 2))
+    if m != 0:
+        rule = change_t2(rule, rule.element({0: LaurentSeries.monomial(field, m)}), cap)
+    return field, cap, rule, (n, xi, i, r, c, a)
 
 
 @settings(max_examples=25, deadline=30000, database=None)
@@ -1644,7 +1649,7 @@ def test_canonicalize_matches_the_unit_change_loop(data):
     """One closed-form unit change t2' = q^(1/i) t2 gives the invariants and
     the canonical rule of the loop, values, t1-precisions, t2_prec and key
     order, and records one grade-0 change."""
-    field, cap, rule = data
+    field, cap, rule, _ = data
 
     def run(fn):
         # a fresh rule per side, so that no twist cache is shared
@@ -1662,3 +1667,28 @@ def test_canonicalize_matches_the_unit_change_loop(data):
     assert list(canon.coeffs) == list(canon_ref.coeffs)
     grade0 = [r for r in records if r.kind == "t2_unit" and r.data["grade"] == 0]
     assert len(grade0) == 1
+
+
+@settings(max_examples=25, deadline=10000, database=None)
+@given(hidden_canonical_rules())
+def test_classification_does_not_depend_on_the_parameters(data):
+    """The set of a hidden canonical rule is found again by ``invariants``,
+    ``isomorphic`` and ``canonicalize``, whatever the parameters hide it;
+    the answer may be "undecided" only over Q(zeta_3), where d-th powers are
+    not decided.  A set with a + 1 names another class."""
+    field, cap, rule, key = data
+    allowed = {"yes", "undecided"} if field is C3 else {"yes"}
+    want = SkewInvariantSet(field, *key)
+    base = build_from_invariants(field, *key)
+    assert invariants(rule).same_class(want) in allowed
+    assert isomorphic(rule, base) in allowed
+    invset, canon, _ = canonicalize(rule)
+    assert invset.same_class(want) in allowed
+    target = build_from_invariants(field, *invset.key())
+    zero = LaurentSeries.zero(field)
+    for j in range(cap):
+        assert canon.coeffs.get(j, zero).agrees(target.coeffs.get(j, zero))
+    if field is Q:
+        n, xi, i, r, c, a = key
+        other = build_from_invariants(field, n, xi, i, r, c, field.add(a, field.one()))
+        assert isomorphic(rule, other) == "no"

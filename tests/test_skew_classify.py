@@ -327,3 +327,33 @@ def test_invariants_need_enough_precision():
     with pytest.raises(PrecisionExhausted) as err:
         invariants(shallow)
     assert err.value.required >= 7
+
+
+def test_invariants_do_not_depend_on_a_t2_shift():
+    """t2' = t1 t2 moves the leading t1-exponent of grade i out of [0, i);
+    the set is read after the shift back, as canonicalize reads it."""
+    m1 = Q.from_int(-1)
+    base = build_from_invariants(Q, 2, m1, 2, 1, Q.from_int(3), Q.from_int(1))
+    moved = change_t2(base, base.t1(), 10)
+    assert moved.coeffs[2].valuation() == -1
+    got = invariants(moved)
+    assert (got.c, got.a) == (Q.from_int(3), Q.from_int(1))
+    assert got.key() == invariants(base).key()
+    assert isomorphic(moved, base) == "yes"
+
+
+def _grade_2i_rule():
+    """C = t1 - 3 t1^2 t2^3 + (t1 - 3 t1^2) t2^4: i = 3, r = 2, and the
+    grade-2i residual starts at t1^-1, below mu = 2."""
+    return build_from_rule(Q, {0: S({1: 1}), 3: S({2: -3}), 4: S({1: 1, 2: -3})})
+
+
+@pytest.mark.parametrize("cap", [8, 12])
+def test_canonicalize_matches_the_grade_2i_residual_below_r(cap):
+    invset, canon, _ = canonicalize(_grade_2i_rule(), cap)
+    key = (1, Q.one(), 3, 2, Q.from_int(-3), Q.from_int(-4))
+    assert invset.key() == key
+    tgt = build_from_invariants(Q, *key)
+    for j in range(cap):
+        want = tgt.coeffs.get(j, LaurentSeries.zero(Q))
+        assert canon.coeffs.get(j, LaurentSeries.zero(Q)).agrees(want)
