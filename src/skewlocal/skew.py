@@ -171,8 +171,11 @@ class CommutationRule:
         self._image = SkewSeries(self, coeffs, t2_prec)
         self.coeffs = self._image.terms
         if 0 not in self.coeffs:
-            raise ValueError("rule needs a grade-zero coefficient c_0")
-        self._alpha = autonorm.DiskAutomorphism(self.coeffs[0])  # validates c_0
+            c0 = coeffs.get(0)
+            if _p(t2_prec) > 0 and (c0 is None or _p(c0.prec) > 1):
+                raise ValueError("rule needs a grade-zero coefficient c_0")
+            raise PrecisionExhausted("c_0 is lost to the rule's t1- or t2-precision")
+        self._alpha = autonorm.DiskAutomorphism(coeffs[0])  # validates c_0
         self._pow_cache = {}
         self._inverse = None
 
@@ -576,14 +579,25 @@ def delta_extract(rule, j, primed=False, n=None):
 
 
 class ParameterChange:
-    """Record of one admissible change of local parameters."""
+    """One change of local parameters, solved to t2-grade cap: kind "t1" is
+    t1' = sum terms[g] t2^g, kind "t2" is t2' = (sum terms[g] t2^g) t2, with
+    coefficient series terms[g]; grade is the grade it was aimed at (None
+    for the linearization of alpha and the t2 shift).  The records of
+    reduce_support and canonicalize, applied in order to the input rule (cut
+    to the cap when its t2_prec is finite), give the rule they return."""
 
-    def __init__(self, kind, data):
+    def __init__(self, kind, terms, cap, grade=None):
         self.kind = kind
-        self.data = data
+        self.terms = terms
+        self.cap = cap
+        self.grade = grade
+
+    def apply(self, rule):
+        change = change_t1 if self.kind == "t1" else change_t2
+        return change(rule, rule.element(self.terms), self.cap)
 
     def __repr__(self):
-        return "<change %s>" % self.kind
+        return "<change %s at grade %s>" % (self.kind, self.grade)
 
 
 def scale_t2(rule, lam):
@@ -745,8 +759,7 @@ def reduce_support(rule, cap=None):
                 "(contact order %s); cannot linearize" % nf.i_alpha
             )
         y0 = nf.conjugator.image.comp_invert()
-        cur = change_t1(cur, cur.from_series(y0), cap)
-        records.append(ParameterChange("t1", {"image": y0}))
+        cur = _move(cur, records, "t1", {0: y0}, cap)
         if cur.coeffs[0].coeffs != {1: xi}:
             raise NotSolvable("linearization did not produce zeta * t1")
 
@@ -775,25 +788,17 @@ def _clear_grade(cur, j, i, n, cap, records):
     """
     field = cur.field
     xi = cur.zeta
-    one = field.one()
+    one = LaurentSeries.const(field, field.one())
     delta = cur.coeffs[j]
     if j % n != 0:
         # solving g * (alpha^(j+1) - alpha)(t1) = -delta
         slope = field.sub(field.pow(xi, j + 1), xi)
         g = delta.scale(field.neg(field.inv(slope))).shift(-1)
-        w = cur.element({0: LaurentSeries.const(field, one), j: g})
-        nxt = change_t2(cur, w, cap)
-        _check_kill(cur, nxt, j)
-        records.append(ParameterChange("t2_unit", {"grade": j, "g": g}))
-        return nxt
+        return _move(cur, records, "t2", {0: one, j: g}, cap, j)
     junk = _non_equivariant(delta, n)
     if not junk.is_zero():
         b = _diagonal_solve(field, junk, xi, n)
-        y = cur.element({0: cur.t1_series(), j: b})
-        nxt = change_t1(cur, y, cap)
-        _check_kill(cur, nxt, j, allow_nonzero=True)
-        records.append(ParameterChange("t1_shift", {"grade": j, "b": b}))
-        cur = nxt
+        cur = _move(cur, records, "t1", {0: cur.t1_series(), j: b}, cap, j, keep=True)
         delta = cur.coeffs.get(j)
         if delta is not None and not _non_equivariant(delta, n).is_zero():
             raise NotSolvable(
@@ -806,11 +811,7 @@ def _clear_grade(cur, j, i, n, cap, records):
     s = j - i
     h = delta / cur.coeffs[i]
     g = h.scale(field.inv(field.from_int(i - s)))
-    w = cur.element({0: LaurentSeries.const(field, one), s: g})
-    nxt = change_t2(cur, w, cap)
-    _check_kill(cur, nxt, j)
-    records.append(ParameterChange("t2_unit", {"grade": s, "g": g}))
-    return nxt
+    return _move(cur, records, "t2", {0: one, s: g}, cap, j)
 
 
 def _diagonal_solve(field, junk, xi, n):
@@ -831,12 +832,18 @@ def _agree_below(rule, other, j):
     return rule._image.agrees(SkewSeries(rule, other.coeffs, other.t2_prec), j)
 
 
-def _check_kill(old, new, j, allow_nonzero=False):
-    """The move at grade j must not disturb grades below j."""
-    if not _agree_below(old, new, j):
-        raise NotSolvable("parameter change aimed at grade %d disturbed a lower grade" % j)
-    if not allow_nonzero and j in new.coeffs:
-        raise NotSolvable("parameter change failed to clear grade %d" % j)
+def _move(cur, records, kind, terms, cap, grade=None, keep=False):
+    """Make the change (kind, terms, cap, grade) on the rule cur, append its
+    record and return the new rule.  A change aimed at a grade leaves every
+    lower grade as it was and clears that grade unless keep is set."""
+    change = ParameterChange(kind, terms, cap, grade)
+    nxt = change.apply(cur)
+    if grade is not None and not _agree_below(cur, nxt, grade):
+        raise NotSolvable("parameter change aimed at grade %d disturbed a lower grade" % grade)
+    if grade is not None and not keep and grade in nxt.coeffs:
+        raise NotSolvable("parameter change failed to clear grade %d" % grade)
+    records.append(change)
+    return nxt
 
 
 class SkewInvariantSet:
@@ -924,9 +931,7 @@ def _classify(rule, cap):
     rho = cur.coeffs[i].valuation()
     m_sh = (rho - rho % i) // i
     if m_sh != 0:
-        w = cur.element({0: LaurentSeries.monomial(field, m_sh)})
-        cur = change_t2(cur, w, cap)
-        records.append(ParameterChange("t2_shift", {"power": m_sh}))
+        cur = _move(cur, records, "t2", {0: LaurentSeries.monomial(field, m_sh)}, cap)
     r, c, a = _read_invariants(cur, n, i)
     return SkewInvariantSet(field, n, xi, i, r, c, a), cur, records, cap
 
@@ -1046,20 +1051,16 @@ def canonicalize(rule, cap=None):
     if q.coeffs != {0: one}:
         if q.valuation() != 0 or q.coeffs[0] != one:
             raise NotSolvable("grade-i coefficient has an unexpected leading part")
-        u = _unit_root(q, i)
-        nxt = change_t2(cur, cur.element({0: u}), cap)
-        _check_kill(cur, nxt, i, allow_nonzero=True)
-        if not nxt.coeffs.get(i, LaurentSeries.zero(field)).agrees(mono):
+        cur = _move(cur, records, "t2", {0: _unit_root(q, i)}, cap, i, keep=True)
+        if not cur.coeffs.get(i, LaurentSeries.zero(field)).agrees(mono):
             raise NotSolvable("monomialization left t1-terms at grade %d" % i)
-        records.append(ParameterChange("t2_unit", {"grade": 0, "g": u}))
-        cur = nxt
 
     target = build_from_invariants(field, n, xi, i, r, c, a)
 
     # fix grade 2i: first remove non-equivariant junk, then move the
     # equivariant residual into the image of t1-changes at grade i
     if 2 * i < cap:
-        cur, records = _fix_grade_2i(cur, target, i, n, cap, records)
+        cur = _fix_grade_2i(cur, target, i, n, cap, records)
 
     # tail: grades above 2i
     for j in range(2 * i + 1, cap):
@@ -1101,6 +1102,7 @@ def _unit_root(q, i):
 def _fix_grade_2i(cur, target, i, n, cap, records):
     """Match the grade-2i coefficient to the canonical one."""
     field = cur.field
+    t1 = cur.t1_series()
     want = target.coeffs.get(2 * i, LaurentSeries.zero(field))
     if 2 * i in cur.coeffs:
         # only the non-equivariant junk: the interaction is done below
@@ -1122,10 +1124,8 @@ def _fix_grade_2i(cur, target, i, n, cap, records):
         # b = beta t1^mu comes with t2^i, so terms quadratic in b sit at
         # grade >= 3i and the probe reads the exact linear response at
         # grade 2i for every mu; it is solved only that far
-        probe_b = LaurentSeries.monomial(field, mu)
-        y = cur.element({0: cur.t1_series(), i: probe_b})
-        probed = change_t1(cur, y, 2 * i + 1)
-        _check_kill(cur, probed, 2 * i, allow_nonzero=True)
+        probe = {0: t1, i: LaurentSeries.monomial(field, mu)}
+        probed = _move(cur, [], "t1", probe, 2 * i + 1, 2 * i, keep=True)
         pd = probed.coeffs.get(2 * i, LaurentSeries.zero(field))
         lam = pd.coeffs.get(e, field.zero())
         lam = field.sub(lam, delta.coeffs.get(e, field.zero()))
@@ -1135,20 +1135,15 @@ def _fix_grade_2i(cur, target, i, n, cap, records):
             )
         beta = field.neg(field.div(coeff, lam))
         b = LaurentSeries(field, {mu: beta})
-        y = cur.element({0: cur.t1_series(), i: b})
-        nxt = change_t1(cur, y, cap)
-        _check_kill(cur, nxt, 2 * i, allow_nonzero=True)
-        new_delta = nxt.coeffs.get(2 * i, LaurentSeries.zero(field))
-        new_resid = new_delta - want
+        cur = _move(cur, records, "t1", {0: t1, i: b}, cap, 2 * i, keep=True)
+        delta = cur.coeffs.get(2 * i, LaurentSeries.zero(field))
+        new_resid = delta - want
         if not new_resid.is_zero() and new_resid.valuation() <= e:
             raise NotSolvable("grade-2i matching made no progress at t1^%d" % e)
-        records.append(ParameterChange("t1_shift", {"grade": i, "b": b}))
-        cur = nxt
-        delta = new_delta
         guard += 1
         if guard > 4 * cap + 64:
             raise NotSolvable("grade-2i matching did not terminate")
-    return cur, records
+    return cur
 
 
 def isomorphic(rule_a, rule_b, cap=None):

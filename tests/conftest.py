@@ -37,6 +37,15 @@ def evaluate_calls(monkeypatch):
     return calls
 
 
+def replay(rule, records, cap):
+    """The records of reduce_support or canonicalize applied in order to the
+    rule they were made on, cut to cap when its t2-precision is finite."""
+    cur = rule if rule.t2_prec is None else rule.truncate(cap)
+    for rec in records:
+        cur = rec.apply(cur)
+    return cur
+
+
 def rand_fraction(rng, nonzero=False):
     while True:
         num = rng.randint(-6, 6)

@@ -265,6 +265,22 @@ def test_negative_rule_precisions_are_rejected(capsys, tmp_path):
         assert_rejected(result, flag)
 
 
+def test_zero_rule_precisions_are_precision_errors(capsys, tmp_path):
+    """Precisions that cut c_0 away end in one error line, not a traceback."""
+    rule = tmp_path / "rule.txt"
+    rule.write_text(RULE)
+    path = str(rule)
+    for argv in (
+        ("skew-invariants", "--rule", path, "--prec-t2", "0"),
+        ("skew-isomorphic", "--rule", path, "--other", path, "--prec-t2", "0"),
+        ("skew-invariants", "--rule", path, "--prec-t1", "1"),
+        ("skew-canonicalize", "--rule", path, "--prec-t1", "0"),
+    ):
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (1, "")
+        assert err == "error: c_0 is lost to the rule's t1- or t2-precision\n"
+
+
 def test_negative_env_prec_is_rejected(capsys, monkeypatch):
     monkeypatch.setenv("SKEWLOCAL_PREC", "-1")
     assert_rejected(run(capsys, "psido", "--expr", "X"), "SKEWLOCAL_PREC")

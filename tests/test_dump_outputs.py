@@ -1,6 +1,7 @@
 """Smoke test of tools/dump_outputs.py: one seed at the smallest size of
 each benchmark workload, run twice in fresh processes, prints the same
-text both times."""
+text both times, and every canonicalize item's records replay to its
+canonical rule."""
 
 import subprocess
 import sys
@@ -24,5 +25,7 @@ def test_dump_is_deterministic():
     for name in ("canonicalize", "normalize", "ring"):
         assert "== %s seed 1\n" % name in first
     assert "\n  invariants (" in first
+    assert "\n  replay == canonical: True\n" in first
+    assert "replay == canonical: False" not in first
     assert "\n  text " in first
     assert "\n  normal form zeta=" in first

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import gcd, inf
 
 import pytest
+from conftest import replay
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -34,14 +35,13 @@ from skewlocal.psido import PsiDO, psido_compose, psido_invert
 from skewlocal.series import DEFAULT_PRECISION, LaurentSeries, _p, _series
 from skewlocal.skew import (
     CommutationRule,
-    ParameterChange,
     SkewInvariantSet,
     SkewSeries,
     _classify,
-    _check_kill,
     _clear_grade,
     _evaluate,
     _fix_grade_2i,
+    _move,
     _mul_by_images,
     _power,
     _tail_cap,
@@ -1589,16 +1589,13 @@ def _loop_canonicalize(rule, cap):
         if e <= 0:
             raise NotSolvable("grade-i coefficient has an unexpected leading part")
         u = LaurentSeries(field, {0: one, e: field.div(q.coeffs[e], field.from_int(i))})
-        nxt = change_t2(cur, cur.element({0: u}), cap)
-        _check_kill(cur, nxt, i, allow_nonzero=True)
-        records.append(ParameterChange("t2_unit", {"grade": 0, "g": u}))
-        cur = nxt
+        cur = _move(cur, records, "t2", {0: u}, cap, i, keep=True)
         guard += 1
         if guard > 4 * cap + 64:
             raise NotSolvable("monomialization did not terminate")
     target = build_from_invariants(field, n, xi, i, r, c, a)
     if 2 * i < cap:
-        cur, records = _fix_grade_2i(cur, target, i, n, cap, records)
+        cur = _fix_grade_2i(cur, target, i, n, cap, records)
     for j in range(2 * i + 1, cap):
         if j in cur.coeffs:
             cur = _clear_grade(cur, j, i, n, cap, records)
@@ -1665,7 +1662,8 @@ def test_canonicalize_matches_the_unit_change_loop(data):
     assert canon == canon_ref
     # == compares t2_prec and each coefficient with its t1-precision
     assert list(canon.coeffs) == list(canon_ref.coeffs)
-    grade0 = [r for r in records if r.kind == "t2_unit" and r.data["grade"] == 0]
+    grade0 = [r for r in records
+              if r.kind == "t2" and set(r.terms) == {0} and r.grade is not None]
     assert len(grade0) == 1
 
 
@@ -1675,15 +1673,18 @@ def test_classification_does_not_depend_on_the_parameters(data):
     """The set of a hidden canonical rule is found again by ``invariants``,
     ``isomorphic`` and ``canonicalize``, whatever the parameters hide it;
     the answer may be "undecided" only over Q(zeta_3), where d-th powers are
-    not decided.  A set with a + 1 names another class."""
+    not decided.  A set with a + 1 names another class.  The records of
+    ``canonicalize``, replayed on the rule, give its canonical rule."""
     field, cap, rule, key = data
     allowed = {"yes", "undecided"} if field is C3 else {"yes"}
     want = SkewInvariantSet(field, *key)
     base = build_from_invariants(field, *key)
     assert invariants(rule).same_class(want) in allowed
     assert isomorphic(rule, base) in allowed
-    invset, canon, _ = canonicalize(rule)
+    invset, canon, records = canonicalize(rule)
     assert invset.same_class(want) in allowed
+    got = replay(rule, records, rule.default_cap())
+    assert got == canon and list(got.coeffs) == list(canon.coeffs)
     target = build_from_invariants(field, *invset.key())
     zero = LaurentSeries.zero(field)
     for j in range(cap):

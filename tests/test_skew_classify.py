@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from conftest import replay
 
 from skewlocal.coeff import Field
 from skewlocal.errors import (
@@ -104,7 +105,7 @@ def test_reduce_kills_grades_not_divisible_by_n():
     rule = build_from_rule(Q, {0: S({1: -1}), 1: S({0: 1})})
     red, records = reduce_support(rule, 10)
     assert [j for j in red.coeffs if j >= 1] == []
-    assert any(rec.kind == "t2_unit" for rec in records)
+    assert any(rec.kind == "t2" and rec.grade is not None for rec in records)
     # killing leaves only finite precision, so i = infinity is out of reach
     with pytest.raises(PrecisionExhausted):
         invariants(rule, 10)
@@ -121,7 +122,7 @@ def test_reduce_cleans_non_equivariant_exponents():
     i = min(j for j in red.coeffs if j >= 1)
     assert i == 2
     assert all(e % 2 == 1 for e in red.coeffs[i].coeffs)
-    assert any(rec.kind == "t1_shift" for rec in records)
+    assert any(rec.kind == "t1" and rec.grade is not None for rec in records)
     assert invariants(rule, 10).key() == (2, m1, 2, 1, Q.one(), Q.zero())
 
 
@@ -135,7 +136,7 @@ def test_reduce_linearizes_alpha():
     rule = build_from_rule(Q, {0: alpha.image, 2: S({1: 1})}, t2_prec=8)
     red, records = reduce_support(rule, 8)
     assert red.coeffs[0].coeffs == {1: Fraction(-1)}
-    assert records and records[0].kind == "t1"
+    assert records and (records[0].kind, records[0].grade) == ("t1", None)
 
 
 def test_reduce_rejects_finite_contact_order():
@@ -228,7 +229,9 @@ def test_canonicalize_evaluates_at_most_300_substitutions(evaluate_calls):
 
 
 def _grade0_changes(records):
-    return [r for r in records if r.kind == "t2_unit" and r.data["grade"] == 0]
+    """The unit changes t2' = u(t1) t2 aimed at a grade (the shift
+    t2' = t1^m t2 is aimed at none)."""
+    return [r for r in records if r.kind == "t2" and set(r.terms) == {0} and r.grade is not None]
 
 
 def test_canonicalize_monomializes_in_one_unit_change():
@@ -357,3 +360,36 @@ def test_canonicalize_matches_the_grade_2i_residual_below_r(cap):
     for j in range(cap):
         want = tgt.coeffs.get(j, LaurentSeries.zero(Q))
         assert canon.coeffs.get(j, LaurentSeries.zero(Q)).agrees(want)
+
+
+def test_canonicalize_records_replay_to_the_canonical_rule():
+    """Each record is the change it made: applied in order to the input,
+    the records give the canonical rule, t1-precisions and key order too."""
+    for rule, cap in ((_perturbed_rule(12), 12), (_grade_2i_rule(), 8)):
+        _, canon, records = canonicalize(rule, cap)
+        got = replay(rule, records, cap)
+        assert got == canon
+        assert list(got.coeffs) == list(canon.coeffs)
+
+
+def test_a_lost_c0_is_a_precision_error():
+    """A c_0 that was given but is cut away by a zero t2-precision or a
+    t1-precision <= 1 raises PrecisionExhausted, not the ValueError of a
+    rule with no c_0."""
+    rule = build_from_rule(Q, {0: S({1: 1}), 1: S({1: 1}), 3: S({0: 1})}, t2_prec=9)
+    calls = (
+        lambda: canonicalize(rule, 0),
+        lambda: invariants(rule, 0),
+        lambda: isomorphic(rule, rule, 0),
+        lambda: reduce_support(rule, 0),
+        lambda: change_t1(rule, rule.t1(), 0),
+        lambda: rule.inverse_rule(0),
+        lambda: rule.truncate(9, 1),
+        lambda: build_from_rule(Q, {0: S({1: 1}, 0)}),
+    )
+    for call in calls:
+        with pytest.raises(PrecisionExhausted):
+            call()
+    with pytest.raises(ValueError):
+        build_from_rule(Q, {1: S({0: 1})}, t2_prec=9)
+

@@ -8,14 +8,17 @@ The corpora are the canonicalize, normalize and ring workloads of
 ``perfbench/workloads.py``, built for each seed (``--smallest``: at the
 smallest size of each workload only), and every item runs once.  Printed
 are the invariants, the canonical rules with their t1- and t2-precisions,
-the records with their kinds and data, the ring operands and results term
-by term with their texts, and the normal forms with their conjugators.
+the records with their kinds, grades, caps and terms, whether the records
+replayed on the input rule give the canonical rule, the ring operands and
+results term by term with their texts, and the normal forms with their
+conjugators.
 Every sparse map is printed in its own key order, so a change of dict
 order shows as a difference.  The package is imported from ``src/`` of the
 checkout that holds this script.
 """
 
 import argparse
+import inspect
 import os
 import sys
 from fractions import Fraction
@@ -60,7 +63,7 @@ def show(x):
     if isinstance(x, sl.DiskAutomorphism):
         return "auto %s" % show(x.image)
     if isinstance(x, sl.ParameterChange):
-        return "change %s %s" % (x.kind, show(x.data))
+        return "change %s grade=%s cap=%s %s" % (x.kind, show(x.grade), x.cap, show(x.terms))
     if isinstance(x, sl.SkewInvariantSet):
         return "invariants %s" % show(x.key())
     if isinstance(x, sl.NormalFormInvariants):
@@ -70,23 +73,29 @@ def show(x):
     raise TypeError("no text for %r" % type(x).__name__)
 
 
-def dump_canonicalize(out, label):
+def dump_canonicalize(out, item):
     invset, canon, records = out
-    print(label)
+    print(item.label)
     print("  " + show(invset))
     print("  " + show(canon))
     for rec in records:
         print("  " + show(rec))
+    # the item's input is the rule its run closure canonicalizes; its t2_prec
+    # is the default cap, so the records apply to it uncut
+    cur = inspect.getclosurevars(item.run).nonlocals["rule"]
+    for rec in records:
+        cur = rec.apply(cur)
+    print("  replay == canonical: %s" % show(cur == canon))
 
 
-def dump_normalize(out, label):
-    print(label)
+def dump_normalize(out, item):
+    print(item.label)
     print("  " + show(out))
 
 
-def dump_ring(out, label):
+def dump_ring(out, item):
     values, texts = out
-    print(label)
+    print(item.label)
     for name, v in zip(("u", "v", "uv", "ui", "p", "pi", "ab"), values):
         print("  %s = %s" % (name, show(v)))
     for t in texts:
@@ -112,7 +121,7 @@ def main(argv=None):
             work = cls(sl, seed, sizes)
             print("== %s seed %d" % (name, seed))
             for item in work.corpus():
-                dump(item.run(), item.label)
+                dump(item.run(), item)
     return 0
 
 
