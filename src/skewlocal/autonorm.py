@@ -14,9 +14,10 @@ working precision), and x is well defined up to (i - 1)-th powers.
 ``normalize`` gets there by conjugating with elementary maps f = t + b t^k,
 each step in closed form: a(f) by the binomial expansion of
 (t + b t^k)^e (``_elementary_compose``), f^-1 by its Fuss-Catalan series
-(``_elementary_inverse``), evaluated at a(f) by Horner's rule in
-a(f)^(k - 1) (``_conj_step``).  The generic ``compose``, ``comp_invert``,
-``auto_compose`` and ``conjugate`` serve every other inner series.
+(``_elementary_inverse``), evaluated at a(f) as one filed sum of the
+terms phi_m a(f)^(1 + m(k - 1)) (``_conj_step``).  The generic ``compose``,
+``comp_invert``, ``auto_compose`` and ``conjugate`` serve every other inner
+series.
 """
 
 from fractions import Fraction
@@ -31,6 +32,7 @@ from .errors import (
     UnsupportedField,
 )
 from .series import DEFAULT_PRECISION, LaurentSeries, _p, _series, _unp
+from .series import file_product, sum_filed
 
 
 class DiskAutomorphism:
@@ -130,17 +132,22 @@ def _elementary_inverse(field, k, b, prec):
 
     By Lagrange inversion its coefficient at t^(1 + m(k - 1)) is
     (-b)^m C(km, m) / ((k - 1)m + 1), a Fuss-Catalan number times (-b)^m.
+    For b = n_b / d_b and M the largest such m below ``prec``, the series
+    is built as its integer form: numerators C(km, m) / ((k - 1)m + 1)
+    (-n_b)^m d_b^(M - m) over d_b^M, where one can vanish only over F_p.
     This is the series ``comp_invert`` returns, without a reversion.
     """
-    one = field.one()
-    negb = field.neg(b)
-    coeffs = {1: one}
-    pw = one
-    for m in range(1, (prec - 2) // (k - 1) + 1):
-        pw = field.mul(pw, negb)
-        fc = comb(k * m, m) // ((k - 1) * m + 1)
-        coeffs[1 + m * (k - 1)] = field.mul(field.from_int(fc), pw)
-    return LaurentSeries(field, coeffs, prec)
+    top = (prec - 2) // (k - 1)
+    db, nb = field.to_form({0: b})
+    negb = field.neg(nb[0])
+    nums = {1: field.mul_int(field.one_num, db ** top)}
+    pw = field.one_num
+    for m in range(1, top + 1):
+        pw = field.mul_nums(pw, negb)
+        v = field.mul_int(pw, comb(k * m, m) // ((k - 1) * m + 1) * db ** (top - m))
+        if not field.is_zero(v):
+            nums[1 + m * (k - 1)] = v
+    return _series(field, *field.canonical(db ** top, nums), prec)
 
 
 def _elementary_compose(g, k, b, prec):
@@ -150,15 +157,16 @@ def _elementary_compose(g, k, b, prec):
     so g(t + b t^k) = sum_j b^j t^(j(k - 1)) sum_(e >= j) C(e, j) g_e t^e:
     integer-weighted, shifted copies of g's integer form, summed by one
     ``Field.dot_forms`` and no series product (Brent and Kung, J. ACM 25,
-    1978).  This is the series
+    1978).  b^j is carried as the form (d_b^j, n_b^j).  This is the series
     ``g.compose(LaurentSeries(field, {1: 1, k: b}, prec))`` returns,
     coefficients and precision.
     """
     field = g.field
     top = min(_p(g.prec), _p(prec))
     terms = [(e, x) for e, x in sorted(g.num.items()) if e < top]
-    bj = field.one()
-    levels = [(1, 1, {0: field.one_num}, g.den, dict(terms))]
+    db, nb = field.to_form({0: b})
+    dj, nj = 1, field.one_num
+    levels = [(1, 1, {0: nj}, g.den, dict(terms))]
     j = 1
     while True:
         # e >= j and e + j(k - 1) < top: both tighten as j grows
@@ -167,8 +175,8 @@ def _elementary_compose(g, k, b, prec):
         if not terms:
             top = _unp(top)
             return _series(field, *field.dot_forms(levels, top), top)
-        bj = field.mul(bj, b)
-        levels.append((1, *field.to_form({0: bj}), g.den,
+        dj, nj = dj * db, field.mul_nums(nj, nb[0])
+        levels.append((1, dj, {0: nj}, g.den,
                        {e + shift: field.mul_int(x, comb(e, j)) for e, x in terms}))
         j += 1
 
@@ -176,25 +184,28 @@ def _elementary_compose(g, k, b, prec):
 def _conj_step(field, cur, k, b, prec):
     """f^-1 o cur o f for f = t + b t^k, at precision ``prec``.
 
-    g = cur o f is the binomial expansion of ``_elementary_compose``.
-    f^-1 is t phi(t^(k - 1)), phi the Fuss-Catalan polynomial of
-    ``_elementary_inverse``, so f^-1(g) = g phi(h) with h = g^(k - 1),
-    evaluated by Horner's rule.  The partial sum that h^m
-    multiplies is needed only below t^(p - 1 - m(k - 1)), p the precision of
-    g, so each Horner product is cut there.
+    g = cur o f is the binomial expansion of ``_elementary_compose``, and
+    f^-1(t) = sum_m phi_m t^(1 + m(k - 1)) the series of ``_elementary_inverse``,
+    so f^-1(g) = sum_m phi_m P_m, one filed sum, with P_m = P_(m - 1) h cut at
+    p, the precision of g, P_0 = g and h = g^(k - 1) cut at p - 1.
     """
     g = _elementary_compose(cur.image, k, b, prec)
     p = g.prec
     phi = _elementary_inverse(field, k, b, p)
+
+    def cut(x, y, bound):
+        # x y below t^bound, which the factors' precisions support
+        term = (1, x.den, x.num, y.den, y.num)
+        return _series(field, *field.dot_forms([term], bound), bound)
+
     h = g.truncate(p - 1)
     for _ in range(k - 2):
-        h = (h * g).truncate(p - 1)
-    acc = LaurentSeries.zero(field)
-    for m in range((p - 2) // (k - 1), -1, -1):
-        cut = p - 1 - m * (k - 1)
-        acc = (h.truncate(cut) * acc).truncate(cut)
-        acc = acc + phi.coeff_series(1 + m * (k - 1))
-    return DiskAutomorphism((g * acc).with_prec(p))
+        h = cut(h, g, p - 1)
+    sums = {0: [[], p]}
+    for m in range((p - 2) // (k - 1) + 1):
+        pw = cut(pw, h, p) if m else g
+        file_product(sums, 0, phi.coeff_series(1 + m * (k - 1)), pw)
+    return DiskAutomorphism(sum_filed(field, sums[0]))
 
 
 def normalize(auto, prec=None):
@@ -209,7 +220,7 @@ def normalize(auto, prec=None):
 
     A step is ``_conj_step``: the binomial expansion a(f) of
     ``_elementary_compose``, then the Fuss-Catalan series of f^-1 evaluated
-    at it by Horner's rule.  The conjugator is kept as the running composite
+    at it as one filed sum.  The conjugator is kept as the running composite
     total o f, again by ``_elementary_compose``.
     """
     field = auto.field
@@ -219,6 +230,8 @@ def normalize(auto, prec=None):
         )
     if prec is None:
         prec = auto.image.prec if auto.image.prec is not None else DEFAULT_PRECISION
+    # nothing is known of the input at or above its own precision
+    prec = min(prec, _p(auto.image.prec))
     if prec < 2:
         raise PrecisionExhausted("normalization needs the linear term", required=2)
 
@@ -331,6 +344,8 @@ def conjugate_test(a, b, prec=None):
     """
     if a.field != b.field:
         raise FieldMismatch("automorphisms over different fields")
+    # both sides at the lesser precision, so neither claims more than the other
+    prec = _unp(min(_p(prec), _p(a.image.prec), _p(b.image.prec)))
     na = normalize(a, prec)
     nb = normalize(b, prec)
     field = a.field

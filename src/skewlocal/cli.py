@@ -129,7 +129,9 @@ def _cmd_autonorm(args, report):
     report.entry("x_class", _fmt(field, nf.x_class))
     report.entry("normal_form", nf.normal_form.image.format())
     report.entry("conjugator", nf.conjugator.image.format())
-    report.note("precision: t = %d (%s)" % (prec, source))
+    if nf.precision < prec:
+        source = "series"
+    report.note("precision: t = %d (%s)" % (nf.precision, source))
     return 0
 
 

@@ -12,7 +12,9 @@ A sparse map of elements (a series' coefficients) also has an integer
 form (:meth:`Field.to_form`): one denominator and integer numerators over
 Q, integer coordinate tuples over Q(zeta_n), the map itself over F_p.  It
 is canonical (the denominator shares no factor with every numerator), and
-``series.LaurentSeries`` stores it.
+``series.LaurentSeries`` stores it.  :meth:`Field.mul_nums` multiplies two
+of its numerators, and a cyclotomic ``mul`` is one such product over the
+product of the denominators.
 
 :meth:`Field.dot_forms` is the one exact sum-of-products kernel: it reads
 integer forms and writes one, with no ``Fraction`` in between and one gcd
@@ -501,30 +503,36 @@ class Field:
         return (a * m) % self.param
 
     def mul(self, a, b):
+        if self.kind != CYCLOTOMIC:
+            return self.mul_nums(a, b)
+        da = lcm(*[c.denominator for c in a])
+        db = lcm(*[c.denominator for c in b])
+        return self.element(da * db, self.mul_nums(
+            [c.numerator * (da // c.denominator) for c in a],
+            [c.numerator * (db // c.denominator) for c in b],
+        ))
+
+    def mul_nums(self, a, b):
+        """The product of two numerators of the integer form: ints over Q,
+        residues modulo p over F_p, and over Q(zeta_n) integer coordinate
+        vectors, their product polynomial reduced modulo Phi_n by the rows
+        of x^k mod Phi_n (a tuple)."""
         if self.kind == RATIONAL:
             return a * b
         if self.kind == PRIME:
             return (a * b) % self.param
         d = self.degree
-        out = [_ZERO] * d
-        high = [_ZERO] * (d - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj == 0:
-                    continue
-                k = i + j
-                if k < d:
-                    out[k] += ai * bj
-                else:
-                    high[k - d] += ai * bj
-        for k, hk in enumerate(high):
-            if hk == 0:
-                continue
-            for i, c in self._xpow[k]:
-                out[i] += hk * c
-        return tuple(out)
+        out = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        for k, row in enumerate(self._xpow):
+            h = out[d + k]
+            if h:
+                for i, c in row:
+                    out[i] += h * c
+        return tuple(out[:d])
 
     # -- the integer form of a sparse map -------------------------------------
 

@@ -151,6 +151,31 @@ def test_normalize_guards():
         normalize(A({1: 1, 2: 1}), prec=3)  # needs 2 * i_alpha = 4
 
 
+def test_normalize_claims_no_more_than_its_input():
+    # -t + O(t^3) is the identity's square root to precision 3 only
+    nf = normalize(A({1: -1}, 3), prec=10)
+    assert (nf.i_alpha, nf.precision) == (inf, 3)
+    assert nf.normal_form.image == LaurentSeries.make(Q, {1: -1}, 3)
+    nf = normalize(A({1: 2, 2: 1}, 3), prec=10)
+    assert nf.precision == 3
+    assert nf.conjugator.image == LaurentSeries.make(Q, {1: 1, 2: Fraction(1, 2)}, 3)
+    # asked for 7, known to 6: the same answer as at 6, not NotSolvable
+    a = A({1: -1, 2: 1, 3: 2}, 6)
+    at6, at7 = normalize(a, prec=6), normalize(a, prec=7)
+    assert (at7.i_alpha, at7.x, at7.y, at7.precision) == (3, 3, Fraction(31, 36), 6)
+    assert (at7.normal_form, at7.conjugator) == (at6.normal_form, at6.conjugator)
+
+
+def test_conjugate_test_at_the_lesser_precision():
+    # known to t^6, the t^5 coefficient y = 0 is known and differs from 1
+    a = A({1: -1, 3: 1}, 6)
+    assert conjugate_test(a, A({1: -1, 3: 1, 5: 1}), prec=10) == "not_conjugate"
+    # the exact side is read no further than the truncated one
+    a, b = A({1: -1}, 3), A({1: -1, 3: 1})
+    b3 = DiskAutomorphism(b.image.truncate(3))
+    assert conjugate_test(a, b, prec=10) == conjugate_test(a, b3, prec=10)
+
+
 def test_conjugate_test_x_classes():
     # i = 2: the class modulus is 1, so any nonzero x values match
     assert conjugate_test(A({1: 1, 2: 1}), A({1: 1, 2: 3}), prec=10) == "conjugate"

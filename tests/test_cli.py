@@ -66,6 +66,20 @@ def test_autonorm_example(capsys):
     assert "# precision: t = 16 (command line)" in lines
 
 
+def test_autonorm_claims_the_series_precision(capsys):
+    # a series known below t^N is normalized at N, not at the default 24
+    status, out, err = run(capsys, "autonorm", "--series", "-t + O(t^3)")
+    assert status == 0
+    lines = out.splitlines()
+    assert "normal_form = -t + O(t^3)" in lines
+    assert "# precision: t = 3 (series)" in lines
+    status, out, err = run(capsys, "autonorm", "--series", "-t + t^2 + 2*t^3 + O(t^6)")
+    assert (status, err) == (0, "")
+    lines = out.splitlines()
+    assert "i_alpha = 3" in lines and "x = 3" in lines and "y = 31/36" in lines
+    assert "# precision: t = 6 (series)" in lines
+
+
 def test_psido_basic(capsys):
     status, out, err = run(capsys, "psido", "--expr", "D*X")
     assert status == 0

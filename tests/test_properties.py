@@ -17,7 +17,7 @@ from math import gcd, inf
 
 import pytest
 from conftest import replay
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from skewlocal.autonorm import (
@@ -261,7 +261,7 @@ def test_rule_products_match_the_series_fold(data):
 
 @st.composite
 def elementary_inputs(draw):
-    field = draw(st.sampled_from([Q, C3]))
+    field = draw(st.sampled_from([Q, C3, C5, F7]))
     k = draw(st.integers(2, 6))
     b = draw(elements(field, nonzero=True))
     prec = draw(st.integers(2, 14))
@@ -270,6 +270,8 @@ def elementary_inputs(draw):
 
 @settings(max_examples=60, deadline=2000, database=None)
 @given(elementary_inputs())
+# over F_7 the coefficient C_4 b^4 of t^5 is 14 b^4 = 0 (k = 2, prec >= 6)
+@example((F7, 2, F7.from_int(3), 8))
 def test_elementary_inverse_matches_comp_invert(data):
     field, k, b, prec = data
     f = LaurentSeries(field, {1: field.one(), k: b}, prec)
@@ -557,6 +559,47 @@ def test_grade_2i_probe_window(data, i, mu, more):
 def test_inverse_rule_matches_full_cap_reference(data, cap):
     got = _outcome(lambda: _rule(data).inverse_rule(cap))
     assert got == _outcome(_reference_inverse_rule, _rule(data), cap)
+
+
+# -- the cyclotomic element product against the Fraction-tuple loop -----------
+
+MUL_FIELDS = [Field.cyclotomic(n) for n in (1, 2, 3, 4, 5, 7, 9, 12)]
+big_coordinates = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-(2 ** 200), 2 ** 200), st.integers(1, 2 ** 200)),
+)
+
+
+def _fraction_loop_mul(field, a, b):
+    """a b over Q(zeta_n) as d^2 Fraction products of coordinates, the part
+    at zeta^d and above reduced by the rows of x^k mod Phi_n."""
+    d = field.degree
+    out = [Fraction(0)] * d
+    high = [Fraction(0)] * (d - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            if i + j < d:
+                out[i + j] += ai * bj
+            else:
+                high[i + j - d] += ai * bj
+    for k, hk in enumerate(high):
+        for i, c in field._xpow[k]:
+            out[i] += hk * c
+    return tuple(out)
+
+
+@settings(max_examples=150, deadline=5000, database=None)
+@given(st.sampled_from(MUL_FIELDS), st.data())
+def test_cyclotomic_mul_matches_the_fraction_loop(field, more):
+    coords = st.tuples(*[big_coordinates] * field.degree)
+    a, b = more.draw(coords), more.draw(coords)
+    want = _fraction_loop_mul(field, a, b)
+    assert field.mul(a, b) == want
+    # the numerators of the integer forms multiply to the product over da db
+    (da, na), (db, nb) = [field.to_form({0: x}) for x in (a, b)]
+    assert field.mul_nums(na[0], nb[0]) == tuple(int(v * da * db) for v in want)
+    if any(a):
+        assert field.mul(a, field.inv(a)) == field.one()
 
 
 # -- integer series products against the coefficient-by-coefficient loop ----
