@@ -669,7 +669,7 @@ class Field:
         if self.is_zero(a):
             raise DivisionByZero("inverse of zero in %s" % self.name())
         if self.kind == RATIONAL:
-            return 1 / a
+            return 1 / Fraction(a)
         if self.kind == PRIME:
             return pow(a, -1, self.param)
         # extended Euclid in Q[x] against Phi_n; invariant r_k = s_k*a mod Phi_n
@@ -696,7 +696,7 @@ class Field:
         if self.kind == RATIONAL:
             if b == 0:
                 raise DivisionByZero("inverse of zero in Q")
-            return a / b
+            return Fraction(a) / b
         return self.mul(a, self.inv(b))
 
     def pow(self, a, m):

@@ -38,7 +38,7 @@ def _unp(prec):
 
 def unit_inverse(q, one, depth, cut, val):
     """The inverse of a unit q = 1 + (terms of filtration >= 1) below
-    filtration ``depth``, in any complete filtered ring, commutative or not.
+    filtration ``depth``: of series and operators (skew series solve by grade).
 
     Newton's step x <- x + x (1 - q x) squares the residual, so the
     filtration to which x is right doubles per step (Kung, Numer. Math. 22,

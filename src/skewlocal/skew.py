@@ -7,7 +7,11 @@ field by substitution, Phi(a) = a(C), and multiplication twists
 coefficients past powers of t2 accordingly.
 
 Elements (SkewSeries) are sparse dictionaries grade -> coefficient series
-with a t2-grade precision ``gprec`` (grades below it are known).
+with a t2-grade precision ``gprec`` (grades below it are known).  A grade
+known only as O(t1^k), zero to its precision, is kept in ``holes``, apart
+from ``terms``, whose readers take an absent grade for an exact 0.  Phi,
+twists, the products, the triangular solve, ``agrees`` and ``format`` read
+both; sums, ``coeff``, ``valuation`` and the classification do not yet.
 """
 
 from fractions import Fraction
@@ -30,23 +34,25 @@ from .series import (
     _unp,
     file_product,
     sum_filed,
-    unit_inverse,
 )
 
 
 class SkewSeries:
-    __slots__ = ("rule", "terms", "gprec")
+    __slots__ = ("rule", "terms", "gprec", "holes")
 
     def __init__(self, rule, terms=None, gprec=None):
         self.rule = rule
         self.gprec = gprec
         out = {}
+        self.holes = holes = {}
         if terms:
             for j, s in terms.items():
                 if gprec is not None and j >= gprec:
                     continue
                 if not s.is_zero():
                     out[j] = s
+                elif s.prec is not None:
+                    holes[j] = s
         self.terms = out
 
     # -- queries ---------------------------------------------------------
@@ -103,13 +109,19 @@ class SkewSeries:
     def rshift_t2(self, m):
         """Right multiplication by t2^m (no twisting)."""
         gp = None if self.gprec is None else self.gprec + m
-        return SkewSeries(self.rule, {j + m: s for j, s in self.terms.items()}, gp)
+        return SkewSeries(self.rule, {j + m: s for j, s in self.entries()}, gp)
+
+    def entries(self):
+        """(grade, series) for the holes and the terms."""
+        if not self.holes:
+            return self.terms.items()
+        return [*self.holes.items(), *self.terms.items()]
 
     def truncate(self, gprec):
         new = _unp(min(_p(self.gprec), _p(gprec)))
         if new == self.gprec:
             return self
-        return SkewSeries(self.rule, self.terms, new)
+        return SkewSeries(self.rule, {**self.holes, **self.terms}, new)
 
     def invert(self, cap=None):
         return skew_invert(self, cap)
@@ -128,8 +140,8 @@ class SkewSeries:
         for j in set(self.terms) | set(other.terms):
             if j >= bound:
                 continue
-            a = self.terms.get(j)
-            b = other.terms.get(j)
+            a = self.terms.get(j, self.holes.get(j))
+            b = other.terms.get(j, other.holes.get(j))
             if a is None:
                 a = LaurentSeries.zero(self.rule.field)
             if b is None:
@@ -142,7 +154,7 @@ class SkewSeries:
         return format_sum(
             (
                 (s.format(var="t1"), s.shows_one_term(), power_text("t2", j))
-                for j, s in sorted(self.terms.items())
+                for j, s in sorted(self.entries())
             ),
             None if self.gprec is None else "O(t2^%d)" % self.gprec,
         )
@@ -269,20 +281,20 @@ class CommutationRule:
         return _memo_put(chain, 1, cap, img)
 
     def _apply_phi(self, x, cap, step=1):
-        """Phi^step (step = +-1) applied to an element: sum Phi^step(x_l) t2^l."""
+        """Phi^step, for any integer step, applied to an element: sum Phi^step(x_l) t2^l."""
         acc = {}
         capg = _p(cap)
         gp = _p(x.gprec)
-        for l in sorted(x.terms):
+        for l, xl in sorted(x.entries()):
             b = min(capg, gp)
             if l >= b:
                 # twists have grade valuation >= 0, so this term only feeds
                 # grades at or beyond the output precision
                 continue
-            w = self.twist(x.terms[l], step, None if b == inf else b - l)
+            w = self.twist(xl, step, None if b == inf else b - l)
             if w.gprec is not None:
                 gp = min(gp, w.gprec + l)
-            for g, sg in w.terms.items():
+            for g, sg in w.entries():
                 j = l + g
                 acc[j] = acc[j] + sg if j in acc else sg
         return SkewSeries(self, acc, _unp(min(gp, capg)))
@@ -294,8 +306,10 @@ class CommutationRule:
         cap=None means no forced truncation (see phi_image)."""
         if cap is not None and cap <= 0:
             return self.zero(cap)
-        if m == 0 or a.is_zero():
+        if m == 0 or a.is_exact_zero():
             return self.from_series(a)
+        if a.is_zero():
+            return _tail_cap(self.zero(cap), a.prec, self.phi_image(m, cap))
         # inverting Phi^m(t1) re-enters the chain at smaller caps
         chain = self._pow_cache.setdefault(m, {})
         return _substitute(self, a, lambda g, b: self.phi_image(m + g, b), chain, cap)
@@ -370,8 +384,11 @@ def _power(rule, cache, e, cap, images):
         return out
     if e > 0:
         out = _mul_by_images(_power(rule, cache, e - 1, cap, images), images, cap)
+    elif e == -1 and cap is not None:
+        # P = Phi^m(t1) has t2-valuation 0, and its chain holds its iterates
+        out = _invert_by_images(rule, images, cap)
     elif e == -1:
-        out = skew_invert(images(0, cap), cap)
+        out = skew_invert(images(0, cap))
     else:
         out = skew_mul(
             _power(rule, cache, e + 1, cap, images), _power(rule, cache, -1, cap, images), cap
@@ -396,13 +413,13 @@ def _mul_by_images(u, images, cap):
     bound = min(_p(u.gprec) + vfv, _p(v.gprec) + u.val_floor(), _p(cap))
     pieces = {}
     eff = bound
-    for g, ug in u.terms.items():
+    for g, ug in u.entries():
         if g + vfv >= eff:
             continue
         img = v if g == 0 else images(g, _unp(eff - g))
         if img.gprec is not None:
             eff = min(eff, g + img.gprec)
-        for l, x in img.terms.items():
+        for l, x in img.entries():
             if g + l < eff:
                 file_product(pieces, g + l, ug, x)
     out = {j: sum_filed(rule.field, entry) for j, entry in pieces.items() if j < eff}
@@ -446,7 +463,7 @@ def _evaluate(a, power, cap, base):
         pw = power(e)
         gprec = min(gprec, _p(pw.gprec))
         ce = a.coeff_series(e)
-        for g, s in pw.terms.items():
+        for g, s in pw.entries():
             file_product(sums, g, ce, s)
     acc = SkewSeries(
         pw.rule, {g: sum_filed(f, entry) for g, entry in sums.items() if g < gprec}, _unp(gprec)
@@ -465,15 +482,20 @@ def _tail_cap(acc, aprec, base):
     least aprec - k * (1 - v_g), where k bounds how many positive-grade
     factors of base fit into grade g and v_g is the worst valuation of
     base's grades 1..g: grade g reads no grade of base above g, so neither
-    does its bound, and it holds at every cap base is cut to.
+    does its bound, and it holds at every cap base is cut to.  A grade
+    below the lesser gprec of acc and base that the tail reaches and acc
+    has no term at gets the bound as a hole.
     """
     pos = [g for g in base.terms if g >= 1]
     terms = {}
-    for g, s in acc.terms.items():
+    top = min(_p(acc.gprec), _p(base.gprec))
+    for g in set(acc.terms) | set(range(0 if top == inf else top)):
         below = [h for h in pos if h <= g]
+        if g not in acc.terms and g and not below:
+            continue
         k = g // min(below) if below else 0
         v_g = min([1] + [base.terms[h].valuation() for h in below])
-        terms[g] = s.truncate(aprec - k * (1 - v_g))
+        terms[g] = acc.coeff(g).truncate(aprec - k * (1 - v_g))
     return SkewSeries(acc.rule, terms, acc.gprec)
 
 
@@ -499,53 +521,88 @@ def skew_mul(u, v, cap=None):
     bound = min(_p(u.gprec) + vfv, _p(v.gprec) + vfu, _p(cap))
     pieces = {}
     eff = bound
-    for m, cu in u.terms.items():
-        for l, cv in v.terms.items():
+    for m, cu in u.entries():
+        for l, cv in v.entries():
             base = m + l
             if base >= eff:
                 continue
             if m == 0:
-                tw = {0: cv}
+                tw = [(0, cv)]
             else:
                 budget = _unp(eff - base) if eff != inf else None
                 twisted = rule.twist(cv, m, budget)
                 if twisted.gprec is not None:
                     eff = min(eff, base + twisted.gprec)
-                tw = twisted.terms
-            for g, sg in tw.items():
+                tw = twisted.entries()
+            for g, sg in tw:
                 file_product(pieces, base + g, cu, sg)
     out = {j: sum_filed(f, entry) for j, entry in pieces.items() if j < eff}
     return SkewSeries(rule, out, _unp(eff))
 
 
 def skew_invert(u, cap=None):
+    """u^-1 to t2-grade cap: u = t2^v V with V_k = Phi^-v(u_(k+v)), and
+    u^-1 = x t2^-v for the x with x V = 1 (see _invert_by_images)."""
     rule = u.rule
     v2 = u.valuation()
     if v2 == inf:
-        raise ZeroDivisorCandidate(
-            "cannot invert a skew series that is zero to precision"
-        )
-    av = u.terms[v2]
+        raise ZeroDivisorCandidate("cannot invert a skew series that is zero to precision")
     if cap is None and u.gprec is None and len(u.terms) == 1:
         # a single exact term a*t2^v inverts in closed form
-        return rule.twist(av.mul_invert(), -v2, None).rshift_t2(-v2)
-    if _p(u.gprec) != inf:
-        out_g = u.gprec - 2 * v2
-        if cap is not None:
-            out_g = min(out_g, cap)
-    else:
-        out_g = cap if cap is not None else DEFAULT_PRECISION - v2
+        return rule.twist(u.terms[v2].mul_invert(), -v2, None).rshift_t2(-v2)
+    out_g = min(_p(u.gprec) - 2 * v2, _p(cap))
+    if out_g == inf:
+        out_g = DEFAULT_PRECISION - v2
     depth = out_g + v2
-    ainv = av.mul_invert()
-    lead_inv = rule.twist(ainv, -v2, depth).rshift_t2(-v2)
-    q = skew_mul(lead_inv, u, depth)
+    images = _iterates(rule, rule._apply_phi(u.rshift_t2(-v2), depth, -v2), depth)
+    return _invert_by_images(rule, images, depth).rshift_t2(-v2).truncate(out_g)
 
-    def cut(a, b, k):
-        p = skew_mul(a, b, k)
-        return p if p.gprec < k else SkewSeries(rule, p.terms)
 
-    x = unit_inverse(q, rule.one(), depth, cut, SkewSeries.valuation)
-    return skew_mul(x.truncate(depth), lead_inv, out_g).truncate(out_g)
+def _invert_by_images(rule, images, depth):
+    """The x with x V = 1 below grade depth, for V = images(0, depth) of
+    t2-valuation 0 and images(g, b) = Phi^g(V) to grade b: one solve."""
+    inv0 = images(0, depth).coeff(0).mul_invert() if depth > 0 else None
+    seen, invs = [rule.t1_series()], [inv0]
+
+    def lead_inv(g, _):
+        # Phi^g(V)[0]^-1 = alpha^g(V_0^-1), V_0^-1 composed with alpha^g(t1),
+        # which repeats when alpha has finite order
+        a = rule.phi_image(g, 1).coeff(0)
+        if a not in seen:
+            seen.append(a)
+            invs.append(inv0.compose(a))
+        return invs[seen.index(a)]
+
+    return _solve_by_images(rule.one(), images, depth, lead_inv)
+
+
+def _solve_by_images(rhs, factors, cap, lead_inv):
+    """The x with sum_j x_j M_j t2^j = rhs below grade cap, for M_j =
+    factors(j, b) known to grade b with unit grade 0, one grade at a time:
+    x_g = (rhs_g - sum_(j<g) x_j M_j[g-j]) lead_inv(g, M_g[0]), each one
+    filed sum (online division).  A nonzero x_j bounds x's gprec by M_j's.
+    A hole of M_j caps the t1-precision of the grades it reaches, and a
+    grade of x that is zero to its precision is kept as a hole."""
+    rule = rhs.rule
+    one = LaurentSeries.monomial(rule.field, 0)
+    eff = min(_p(rhs.gprec), cap)
+    ms, sums, out, g = [], {}, {}, 0
+    while g < eff:
+        ms.append(factors(g, cap - g))
+        file_product(sums, g, rhs.holes.get(g, rhs.coeff(g)), one)
+        for j, xj in out.items():
+            mterm = ms[j].terms.get(g - j, ms[j].holes.get(g - j))
+            if mterm is not None:
+                file_product(sums, g, xj, mterm, -1)
+        lead = ms[g].coeff(0)
+        if lead.is_zero():
+            raise NotSolvable("lost invertibility at grade %d" % g)
+        xg = sum_filed(rule.field, sums.pop(g)) * lead_inv(g, lead)
+        out[g] = xg
+        if not xg.is_zero():
+            eff = min(eff, g + _p(ms[g].gprec))
+        g += 1
+    return SkewSeries(rule, out, _unp(eff))
 
 
 def conj_by_t2(a, rule, power=1, cap=None):
@@ -621,7 +678,7 @@ def change_t1(rule, y_el, cap=None):
         cap = min(_p(rule.t2_prec), _p(y_el.gprec), DEFAULT_PRECISION)
     y0 = y_el.coeff(0)
     autonorm.DiskAutomorphism(y0)  # validates valuation 1, unit linear term
-    rebound = SkewSeries(rule, y_el.terms, y_el.gprec).truncate(cap)
+    rebound = SkewSeries(rule, dict(y_el.entries()), y_el.gprec).truncate(cap)
     images = _iterates(rule, rebound, cap)
     pows = {}
     out = _peel(
@@ -668,8 +725,8 @@ def change_t2(rule, w_el, cap=None):
         W C = sum c'_j N_(j+1) t2^j.
 
     The system is triangular because the grade-zero part of N_(j+1) is the
-    unit tau_(j+1): c'_g = ((W C)[g] - sum_(j<g) c'_j N_(j+1)[g-j]) / tau_(g+1).
-    W C twists C only by the grades of W, and no inverse of W is formed.
+    unit tau_(j+1), and ``_solve_by_images`` solves it grade by grade, as for
+    skew_invert.  W C twists C only by the grades of W; W is not inverted.
 
     The solve below grade cap reads N_(j+1) only below grade cap - j.
     Both products are read from iterates of Phi, through
@@ -682,7 +739,7 @@ def change_t2(rule, w_el, cap=None):
     """
     if cap is None:
         cap = min(_p(rule.t2_prec), _p(w_el.gprec), DEFAULT_PRECISION)
-    w = SkewSeries(rule, w_el.terms, w_el.gprec).truncate(cap)
+    w = SkewSeries(rule, dict(w_el.entries()), w_el.gprec).truncate(cap)
     if w.coeff(0).is_zero() or w.valuation() < 0:
         raise ZeroDivisorCandidate(
             "t2 change needs W of t2-valuation 0 with an invertible grade-zero part"
@@ -693,22 +750,8 @@ def change_t2(rule, w_el, cap=None):
     ns = [w]
     for j in range(1, cap):
         ns.append(_mul_by_images(ns[-1], lambda g, b, j=j: phiw(j + g, b), cap - j))
-    one = LaurentSeries.monomial(rule.field, 0)
-    sums = {}
-    out = {}
-    for g in range(0, cap):
-        file_product(sums, g, wc.coeff(g), one)
-        for j, cj in out.items():
-            nterm = ns[j].terms.get(g - j)
-            if nterm is not None:
-                file_product(sums, g, cj, nterm, -1)
-        tau = ns[g].coeff(0)
-        if tau.is_zero():
-            raise NotSolvable("t2 change lost invertibility at grade %d" % g)
-        cg = sum_filed(rule.field, sums.pop(g)) / tau
-        if not cg.is_zero():
-            out[g] = cg
-    return CommutationRule(rule.field, out, cap)
+    x = _solve_by_images(wc, lambda j, b: ns[j], cap, lambda g, tau: tau.mul_invert())
+    return CommutationRule(rule.field, x.terms, x.gprec)
 
 
 # -- support reduction and invariants -------------------------------------------

@@ -166,6 +166,16 @@ def test_normalize_claims_no_more_than_its_input():
     assert (at7.normal_form, at7.conjugator) == (at6.normal_form, at6.conjugator)
 
 
+def test_normalize_with_int_coefficients():
+    # ints where Fractions are expected: once Q.inv(2) was the float 0.5,
+    # and Field.to_form raised AttributeError on it
+    coeffs = {1: 1, 2: 1, 3: Fraction(1, 3), 4: 2}
+    got = normalize(DiskAutomorphism(LaurentSeries(Q, coeffs)), 16)
+    ref = normalize(A(coeffs), 16)
+    assert (got.i_alpha, got.x, got.y, got.precision) == (ref.i_alpha, ref.x, ref.y, ref.precision)
+    assert (got.normal_form, got.conjugator) == (ref.normal_form, ref.conjugator)
+
+
 def test_conjugate_test_at_the_lesser_precision():
     # known to t^6, the t^5 coefficient y = 0 is known and differs from 1
     a = A({1: -1, 3: 1}, 6)

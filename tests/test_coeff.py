@@ -30,6 +30,13 @@ def test_rational_basics():
         Q.inv(Q.zero())
 
 
+def test_rational_inverse_of_an_int_is_a_fraction():
+    # a Python int is a valid element of Q; its inverse and quotients stay exact
+    assert type(Q.inv(2)) is Fraction and Q.inv(2) == Fraction(1, 2)
+    assert type(Q.div(1, 2)) is Fraction and Q.div(1, 2) == Fraction(1, 2)
+    assert Q.pow(2, -3) == Fraction(1, 8)
+
+
 def test_cyclotomic_4():
     F = Field.cyclotomic(4)
     z = F.zeta()

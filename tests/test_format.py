@@ -231,7 +231,9 @@ def test_series_format_matches_reference(fs, var):
 @given(fields_and(skew_series))
 def test_skew_format_matches_reference(fx):
     _, x = fx
-    assert x.format() == ref_graded(x.terms, "t1", "t2", x.gprec, sorted(x.terms))
+    # a grade known only as O(t1^k) prints as one
+    shown = dict(x.entries())
+    assert x.format() == ref_graded(shown, "t1", "t2", x.gprec, sorted(shown))
 
 
 @settings(max_examples=200, deadline=2000, database=None)

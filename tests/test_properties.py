@@ -20,6 +20,7 @@ from conftest import replay
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from skewlocal import series, skew
 from skewlocal.autonorm import (
     DiskAutomorphism,
     _conj_step,
@@ -32,7 +33,7 @@ from skewlocal.coeff import Field
 from skewlocal.errors import NotSolvable, SkewFieldError
 from skewlocal.parsing import RuleDomain, _run, parse_rule_text, rule_to_text
 from skewlocal.psido import PsiDO, psido_compose, psido_invert
-from skewlocal.series import DEFAULT_PRECISION, LaurentSeries, _p, _series
+from skewlocal.series import DEFAULT_PRECISION, LaurentSeries, _p, _series, _unp
 from skewlocal.skew import (
     CommutationRule,
     SkewInvariantSet,
@@ -342,32 +343,22 @@ def test_normalize_conjugator_reproduces_normal_form(data):
 def _reference_change_t2(rule, w_el, cap):
     """change_t2's system W C = sum c'_j N_(j+1) t2^j with every N_j and
     Phi^j(W) built to the full cap."""
-    w = SkewSeries(rule, w_el.terms, w_el.gprec).truncate(cap)
-    c_el = SkewSeries(rule, rule.coeffs, rule.t2_prec).truncate(cap)
+    w = SkewSeries(rule, dict(w_el.entries()), w_el.gprec).truncate(cap)
+    c_el = SkewSeries(rule, dict(rule._image.entries()), rule.t2_prec).truncate(cap)
     wc = skew_mul(w, c_el, cap)
     ns = [rule.one()]
     phiw = w
     for j in range(0, cap):
         ns.append(skew_mul(ns[-1], phiw, cap))
         phiw = rule._apply_phi(phiw, cap)
-    out = {}
-    for g in range(0, cap):
-        acc = wc.coeff(g)
-        for j, cj in out.items():
-            nterm = ns[j + 1].terms.get(g - j)
-            if nterm is not None:
-                acc = acc - cj * nterm
-        cg = acc / ns[g + 1].coeff(0)
-        if not cg.is_zero():
-            out[g] = cg
-    return CommutationRule(rule.field, out, cap)
+    return _solve_grade_by_grade(rule, wc, ns[1:], cap)
 
 
 def _scale_and_add_change_t2(rule, w_el, cap):
     """change_t2 with its windows and its products from the iterates of Phi,
     each grade solved by the series ``-`` and ``*``: acc - c'_j N_(j+1)[g - j]
     for every earlier grade j."""
-    w = SkewSeries(rule, w_el.terms, w_el.gprec).truncate(cap)
+    w = SkewSeries(rule, dict(w_el.entries()), w_el.gprec).truncate(cap)
     wc = _mul_by_images(w, lambda g, b: rule.phi_image(g + 1, b), cap)
     phiws = [w]
     for k in range(1, cap):
@@ -375,20 +366,30 @@ def _scale_and_add_change_t2(rule, w_el, cap):
     ns = [w]
     for j in range(1, cap):
         ns.append(_mul_by_images(ns[-1], lambda g, b, j=j: phiws[j + g], cap - j))
+    return _solve_grade_by_grade(rule, wc, ns, cap)
+
+
+def _solve_grade_by_grade(rule, wc, ns, cap):
+    """The new rule from W C = sum c'_j N_(j+1) t2^j, ns[j] = N_(j+1), by
+    the series ``-`` and ``*``: acc - c'_j N_(j+1)[g - j] for every earlier
+    grade j, holes included.  A nonzero c'_g bounds the claimed t2-grade by
+    g + the gprec of N_(g+1)."""
     out = {}
-    for g in range(0, cap):
-        acc = wc.coeff(g)
+    eff, g = min(cap, _p(wc.gprec)), 0
+    while g < eff:
+        acc = wc.holes.get(g, wc.coeff(g))
         for j, cj in out.items():
-            nterm = ns[j].terms.get(g - j)
+            nterm = ns[j].terms.get(g - j, ns[j].holes.get(g - j))
             if nterm is not None:
                 acc = acc - cj * nterm
         tau = ns[g].coeff(0)
         if tau.is_zero():
             raise NotSolvable("t2 change lost invertibility at grade %d" % g)
-        cg = acc / tau
+        out[g] = cg = acc / tau
         if not cg.is_zero():
-            out[g] = cg
-    return CommutationRule(rule.field, out, cap)
+            eff = min(eff, g + _p(ns[g].gprec))
+        g += 1
+    return CommutationRule(rule.field, {j: c for j, c in out.items() if not c.is_zero()}, _unp(eff))
 
 
 def _inverse_formula_change_t2(rule, w_el, cap):
@@ -481,23 +482,26 @@ def _rule(data):
 @given(rule_data(), st.data())
 def test_change_t2_matches_full_cap_reference(data, more):
     """The filed solve equals its scale-and-add copy, values, precisions and
-    key order, and the solve with every N_j built to the full cap."""
+    key order, and the solve with every N_j built to the full cap.  A cap
+    above the rule's t2-precision or W's gprec stops the solve below it."""
     field, _, t1_prec, t2p = data
     w = {0: {0: more.draw(elements(field, nonzero=True))}}
     w[0].update(more.draw(series_data(field, 1, 3, t1_prec)))
     for s in more.draw(st.lists(st.integers(1, 3), max_size=2, unique=True)):
         w[s] = more.draw(series_data(field, 0, 2, t1_prec))
-    cap = more.draw(st.integers(2, 5) if t2p is None else st.integers(2, t2p))
+    wgprec = more.draw(st.one_of(st.none(), st.integers(1, 5)))
+    cap = more.draw(st.integers(2, 5) if t2p is None else st.integers(2, t2p + 2))
 
     def run(fn):
         rule = _rule(data)
-        el = rule.element({s: LaurentSeries(field, c, t1_prec) for s, c in w.items()})
+        el = rule.element({s: LaurentSeries(field, c, t1_prec) for s, c in w.items()}, wgprec)
         return _outcome(fn, rule, el, cap)
 
     got, solved = run(change_t2), run(_scale_and_add_change_t2)
     assert got == solved
     if not isinstance(got, type):
         assert _layout(got) == _layout(solved)
+        event("stops below cap" if _p(got.t2_prec) < cap else "reaches cap")
     assert got == run(_reference_change_t2)
 
 
@@ -984,6 +988,35 @@ def _geometric_psido_invert(u, depth=None):
     return psido_compose(geom, lead_inv, window).truncate(out_cut)
 
 
+def _raised(prec, fn, *args):
+    """fn(*args) with the working t1-precision ``DEFAULT_PRECISION`` rebound
+    to prec in ``series`` and ``skew``: the raise oracle for the claims a
+    result on exact input makes."""
+    saved = series.DEFAULT_PRECISION, skew.DEFAULT_PRECISION
+    series.DEFAULT_PRECISION = skew.DEFAULT_PRECISION = prec
+    try:
+        return fn(*args)
+    finally:
+        series.DEFAULT_PRECISION, skew.DEFAULT_PRECISION = saved
+
+
+def _t1_claim(x, j):
+    """The t1-precision that grade j of a skew series claims: +inf where
+    the grade is absent (an exact zero) or exact."""
+    s = x.terms.get(j)
+    return inf if s is None else _p(s.prec)
+
+
+def _assert_confirmed(got, hi):
+    """Every grade of got below its gprec is claimed by hi at least as far,
+    and the two agree there."""
+    assert _p(hi.gprec) >= _p(got.gprec)
+    for j in set(got.terms) | set(hi.terms):
+        if j < _p(got.gprec):
+            assert _t1_claim(hi, j) >= _t1_claim(got, j)
+    assert got.agrees(hi)
+
+
 def _assert_same_inverse(got, ref, exact, outer):
     """Exact inputs give equal results; truncated ones the same outer
     precision and equal coefficients wherever both are known."""
@@ -1038,7 +1071,23 @@ def test_skew_invert_matches_geometric_loop(data, v2, more):
     if isinstance(ref, type):
         assert got == ref
         return
-    _assert_same_inverse(got, ref, exact and gprec is None, lambda x: x.gprec)
+    if -v2 >= _p(got.gprec):
+        # u^-1 has t2-valuation -v2, so it is zero below got.gprec; the
+        # loop's product of two factors with no terms claims less
+        assert got.is_zero() and ref.is_zero()
+        assert _p(got.gprec) >= _p(ref.gprec)
+        return
+    if not (exact and gprec is None):
+        _assert_same_inverse(got, ref, False, lambda x: x.gprec)
+        return
+    # on exact input each path cuts its inner t1-series where it may, so
+    # the claims are not pinned to the reference's: none is less, and the
+    # run at a raised working precision confirms every one
+    assert got.gprec == ref.gprec
+    assert got.agrees(ref)
+    for j in set(got.terms) | set(ref.terms):
+        assert _t1_claim(got, j) >= _t1_claim(ref, j)
+    _assert_confirmed(got, _raised(40, run, skew_invert))
 
 
 def test_skew_invert_keeps_the_precision_of_a_zero_residual():
@@ -1050,6 +1099,83 @@ def test_skew_invert_keeps_the_precision_of_a_zero_residual():
     got, ref = skew_invert(u), _geometric_skew_invert(u)
     assert got.gprec == ref.gprec == 4
     assert got.agrees(ref)
+
+
+def _completed(s, rng, more=10):
+    """s with random terms at its unknown exponents prec .. prec + more - 1,
+    known to prec + more: one completion of a truncated series."""
+    if s.prec is None:
+        return s
+    f = s.field
+    tail = {e: f.from_int(rng.randint(-3, 3)) for e in range(s.prec, s.prec + more)}
+    return LaurentSeries(f, {**s.coeffs, **tail}, s.prec + more)
+
+
+@settings(max_examples=150, deadline=10000, database=None)
+@given(rule_data(), st.integers(-2, 3), st.data())
+def test_skew_invert_is_a_two_sided_inverse(data, v2, more):
+    """x = skew_invert(u, cap) from the triangular solve: u x and x u agree
+    with 1 to x.gprec, on rules and operands known to finite t1- and
+    t2-precisions, and x agrees with the inverse of a random completion of
+    u's t1-tails wherever x claims.  A twisted grade that is zero only to
+    its precision is a hole, not an exact 0: over Q with C = t1 + t2, the
+    inverse of (1 + t1 + O(t1^2)) + t2 to cap 4 is O(t1^0) at t2^3, where
+    completions give -6, -10 and 0 (the Newton loop claimed -4 + O(t1))."""
+    field = data[0]
+    exact = more.draw(st.booleans())
+    prec = None if exact else more.draw(st.one_of(st.none(), st.integers(2, 6)))
+    terms = {v2: more.draw(leading_series(field, more.draw(st.integers(-2, 3)), exact))}
+    for j in more.draw(st.lists(st.integers(v2 + 1, v2 + 3), max_size=2, unique=True)):
+        terms[j] = LaurentSeries(field, more.draw(series_data(field, -1, 3, prec)), prec)
+    gprec = more.draw(st.one_of(st.none(), st.integers(v2 + 1, v2 + 6)))
+    cap = more.draw(st.integers(1, 6))
+    rule = _rule(data)
+    u = rule.element(terms, gprec)
+    x = _outcome(skew_invert, u, cap)
+    if isinstance(x, type):
+        event("raised %s" % x.__name__)
+        return
+    for left, right in ((u, x), (x, u)):
+        # twisting by a negative grade of u past the rule's t2-precision
+        # raises PrecisionExhausted; then there is no product to check
+        prod = _outcome(skew_mul, left, right, x.gprec)
+        if isinstance(prod, type):
+            event("check product raised %s" % prod.__name__)
+        else:
+            assert prod.agrees(rule.one(), x.gprec)
+    rng = random.Random(more.draw(st.integers(0, 2**16)))
+    filled = rule.element({j: _completed(s, rng) for j, s in terms.items()}, gprec)
+    assert x.agrees(skew_invert(filled, cap))
+
+
+@settings(max_examples=100, deadline=10000, database=None)
+@given(st.integers(0, 2**16))
+def test_skew_invert_of_a_truncated_unit_keeps_its_holes(seed):
+    """The example above: x claims nothing at t2^3, and agrees with the
+    inverse of every completion of 1 + t1 + O(t1^2)."""
+    S = lambda c, p=None: LaurentSeries.make(Q, c, p)  # noqa: E731
+    rule = CommutationRule(Q, {0: S({1: 1}), 1: S({0: 1})})
+    unit = S({0: 1, 1: 1}, 2)
+    x = skew_invert(rule.element({0: unit, 1: S({0: 1})}), 4)
+    assert 3 not in x.terms and x.holes[3].prec == 0 and x.gprec == 4
+    filled = _completed(unit, random.Random(seed))
+    assert x.agrees(skew_invert(rule.element({0: filled, 1: S({0: 1})}), 4))
+
+
+@settings(max_examples=40, deadline=20000, database=None)
+@given(rule_data(), st.sampled_from([-2, -1, 1, 2, 3]), st.integers(1, 5))
+def test_power_chain_inverse_is_skew_invert_of_the_image(data, m, cap):
+    """Entry e = -1 of chain m, solved over the cached images
+    Phi^(m+g)(t1), equals skew_invert(phi_image(m, cap), cap), which
+    builds its iterates by Phi; each side on a fresh rule."""
+
+    def chain_entry(rule):
+        images = lambda g, b: rule.phi_image(m + g, b)  # noqa: E731
+        return _power(rule, rule._pow_cache.setdefault(m, {}), -1, cap, images)
+
+    got = _outcome(chain_entry, _rule(data))
+    ref = _outcome(lambda rule: skew_invert(rule.phi_image(m, cap), cap), _rule(data))
+    assert got == ref
 
 
 @settings(max_examples=200, deadline=5000, database=None)
@@ -1421,15 +1547,15 @@ def test_mul_by_images_matches_skew_mul(data, m, more):
 
 def _reference_evaluate(a, power, base):
     """_evaluate as one scaled power per term of a, added grade by grade by
-    the series ``+``; a grade zero to its precision is dropped only when the
-    skew series is built at the end."""
+    the series ``+``, holes of the powers included; a grade zero to its
+    precision becomes a hole only when the skew series is built at the end."""
     f = a.field
     grades = {}
     gprec = inf
     for e, c in sorted(a.coeffs.items()):
         pw = power(e)
         gprec = min(gprec, inf if pw.gprec is None else pw.gprec)
-        for j, s in pw.terms.items():
+        for j, s in pw.entries():
             scaled = LaurentSeries(f, {x: f.mul(c, y) for x, y in s.coeffs.items()}, s.prec)
             grades[j] = grades[j] + scaled if j in grades else scaled
     acc = SkewSeries(pw.rule, grades, None if gprec == inf else gprec)
@@ -1470,7 +1596,7 @@ def test_evaluate_matches_scale_and_add_fold(field, more):
     base = rule.element({0: LaurentSeries.variable(field), 1: LaurentSeries.const(field, field.one())})
     got = _evaluate(a, powers.__getitem__, None, lambda: base)
     ref = _reference_evaluate(a, powers.__getitem__, lambda: base)
-    assert got == ref
+    assert got == ref and got.holes == ref.holes
     assert list(got.terms) == list(ref.terms)
     assert _layout(got) == _layout(ref)
 

@@ -543,3 +543,25 @@ def test_warm_products_convert_no_element_map(monkeypatch):
         calls[0] = 0
         assert op() == cold
         assert calls[0] == converted
+
+
+def test_warm_inverse_makes_no_skew_product(monkeypatch):
+    """On warm caches an inverse is one triangular solve over the iterates
+    Phi^g(u): no skew product, where the Newton loop it replaced made five
+    or six."""
+    from skewlocal import skew
+
+    rule = build_from_rule(Q, {0: S({1: -1}), 2: S({1: 3})})
+    u = rule.element({0: S({0: 1, 1: 2, 2: -1}), 1: S({-1: 3, 1: 1}), 2: S({2: 5})}, 6)
+    cold = skew_invert(u, 6)
+    calls = [0]
+    mul = skew.skew_mul
+
+    def counted(*args):
+        calls[0] += 1
+        return mul(*args)
+
+    monkeypatch.setattr(skew, "skew_mul", counted)
+    assert skew_invert(u, 6) == cold
+    assert calls[0] == 0
+    assert mul(u, cold, 6).agrees(rule.one(), 6)
